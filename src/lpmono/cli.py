@@ -23,9 +23,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -52,15 +50,6 @@ from .solver import (
     solve_zero_hilbert,
 )
 
-
-@dataclass(frozen=True)
-class InitialPointPreset:
-    """A named starting function t -> value."""
-
-    name: str
-    rule: Callable
-
-
 _PRESET_RULES = {
     "inv-quad": lambda t: 1.0 / (1.0 + t * t),
     "exp": lambda t: np.exp(t),
@@ -78,11 +67,6 @@ EXAMPLE_LADDERS = {
     2: (1e-1, 1e-2, 1e-3, 1e-4),
     3: (1e-3, 1e-6, 1e-9, 1e-12),
 }
-
-
-def preset_catalog() -> list[InitialPointPreset]:
-    """The named initial points (constants use the ``const:c`` form)."""
-    return [InitialPointPreset(name, rule) for name, rule in _PRESET_RULES.items()]
 
 
 def resolve_init(source: str, M: int) -> GridFunction:

@@ -20,45 +20,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, LpContext, lp_norm, pairing
-
-DUALITY_VARIANTS = ("standard", "flipped")
+from .grid import GridFunction, LpContext, lp_norm, pairing, weighted_sum
 
 
 class NoRootError(ValueError):
     """The t_p equation has no root on (0, 1] for the requested exponent."""
 
 
-def duality_map(f: GridFunction, ctx: LpContext, variant: str = "standard") -> GridFunction:
+def duality_values(v: np.ndarray, norm: float, r: float) -> np.ndarray:
+    """Nodal values of the normalized duality map of the weighted l_r space.
+
+    Evaluates ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) given ``norm`` =
+    ||v||_r; zero maps to zero.  With r = p this is J, with r = q it is
+    J^{-1} (the duality map of L_q).  Every duality map in the package
+    evaluates through here.
+    """
+    if norm == 0.0:
+        return np.zeros_like(v)
+    # overflow here surfaces as NonFiniteValuesError where the values are
+    # wrapped, so the numpy warnings carry no extra information
+    with np.errstate(over="ignore", invalid="ignore"):
+        return norm ** (2.0 - r) * np.abs(v) ** (r - 1.0) * np.sign(v)
+
+
+def duality_map(f: GridFunction, ctx: LpContext) -> GridFunction:
     """Normalized duality map J : L_p -> L_q.
 
-    The ``standard`` variant evaluates
-
-        (Jf)(t) = ||f||_p^{2-p} |f(t)|^{p-1} sign f(t),
-
-    the exponent arrangement satisfying <f, Jf> = ||f||_p^2 and
-    ||Jf||_q = ||f||_p.  The ``flipped`` variant interchanges the norm
-    and nodewise exponents,
-
-        (Jf)(t) = ||f||_p^{p-2} |f(t)|^{3-p} sign f(t),
-
-    and is kept only for sensitivity studies: it violates the defining
-    identity for non-constant f.  Zero maps to zero under both.
+    Evaluates (Jf)(t) = ||f||_p^{2-p} |f(t)|^{p-1} sign f(t), the exponent
+    arrangement satisfying <f, Jf> = ||f||_p^2 and ||Jf||_q = ||f||_p.
+    Zero maps to zero.
     """
-    if variant not in DUALITY_VARIANTS:
-        raise ValueError(f"unknown duality variant {variant!r}")
-    norm = lp_norm(f, ctx.p)
-    if norm == 0.0:
-        return GridFunction.zeros(f.M)
-    v = f.values
-    # overflow here surfaces as NonFiniteValuesError below, so the numpy
-    # warnings carry no extra information
-    with np.errstate(over="ignore", invalid="ignore"):
-        if variant == "standard":
-            vals = norm ** (2.0 - ctx.p) * np.abs(v) ** (ctx.p - 1.0) * np.sign(v)
-        else:
-            vals = norm ** (ctx.p - 2.0) * np.abs(v) ** (3.0 - ctx.p) * np.sign(v)
-    return GridFunction(vals)
+    return GridFunction(duality_values(f.values, lp_norm(f, ctx.p), ctx.p))
 
 
 def duality_map_inverse(g: GridFunction, ctx: LpContext) -> GridFunction:
@@ -67,13 +59,7 @@ def duality_map_inverse(g: GridFunction, ctx: LpContext) -> GridFunction:
     Evaluates (J^{-1}g)(t) = ||g||_q^{2-q} |g(t)|^{q-1} sign g(t); this is
     also the duality map of L_q viewed as a primal space.
     """
-    norm = lp_norm(g, ctx.q)
-    if norm == 0.0:
-        return GridFunction.zeros(g.M)
-    v = g.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = norm ** (2.0 - ctx.q) * np.abs(v) ** (ctx.q - 1.0) * np.sign(v)
-    return GridFunction(vals)
+    return GridFunction(duality_values(g.values, lp_norm(g, ctx.q), ctx.q))
 
 
 def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
@@ -83,9 +69,11 @@ def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
     distance from below, (p - 1) ||x - y||^2 <= phi(x, y), with equality
     at p = 2; for p < 2 no bound phi(x, y) <= C ||x - y||^2 holds.
     """
+    x._check_grid(y)
     nx = lp_norm(x, ctx.p)
     ny = lp_norm(y, ctx.p)
-    return nx * nx - 2.0 * pairing(x, duality_map(y, ctx)) + ny * ny
+    jy = duality_values(y.values, ny, ctx.p)
+    return nx * nx - 2.0 * weighted_sum(x.values * jy) + ny * ny
 
 
 def v_functional(x: GridFunction, xstar: GridFunction, ctx: LpContext) -> float:

@@ -160,25 +160,36 @@ class LpContext:
         return trapezoid_weights(self.M)
 
 
+def weighted_sum(a: np.ndarray) -> float:
+    """Trapezoid-weighted sum of the M+1 nodal values ``a``.
+
+    Every integral, norm and pairing on the grid reduces through here.
+    """
+    return float(trapezoid_weights(a.size - 1) @ a)
+
+
+def weighted_norm(a: np.ndarray, r: float) -> float:
+    """Weighted r-norm of nodal values: (weighted sum of |a|^r)^(1/r)."""
+    with np.errstate(over="ignore"):  # inf norms feed the non-finite guards
+        return weighted_sum(np.abs(a) ** r) ** (1.0 / r)
+
+
 def trapezoid_integral(f: GridFunction) -> float:
     """Trapezoid-rule integral of ``f`` over [0,1]."""
-    return float(trapezoid_weights(f.M) @ f.values)
+    return weighted_sum(f.values)
 
 
 def lp_norm(f: GridFunction, r: float) -> float:
     """Weighted r-norm (integral of |f|^r, trapezoid weights)^(1/r), r >= 1."""
     if r < 1.0:
         raise ValueError(f"norm exponent must be >= 1, got {r}")
-    w = trapezoid_weights(f.M)
-    with np.errstate(over="ignore"):  # inf norms feed the non-finite guards
-        return float((w @ np.abs(f.values) ** r) ** (1.0 / r))
+    return weighted_norm(f.values, r)
 
 
 def pairing(f: GridFunction, g: GridFunction) -> float:
     """Duality pairing: the trapezoid integral of the product f*g."""
     f._check_grid(g)
-    w = trapezoid_weights(f.M)
-    return float(w @ (f.values * g.values))
+    return weighted_sum(f.values * g.values)
 
 
 def random_smooth(rng: np.random.Generator, M: int, scale: float = 1.0) -> GridFunction:

@@ -10,6 +10,7 @@ between monotone maps and J-pseudocontractive maps.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -30,14 +31,12 @@ class InfeasiblePointError(ValueError):
 class MonotoneOp:
     """A single-valued map of grid functions, semantically E -> E*.
 
-    ``bounded_hint`` optionally records a bound on ||Ax|| over the unit
-    ball; ``monotonicity_warning`` carries the message of a failed
+    ``monotonicity_warning`` carries the message of a failed
     sampled-monotonicity check (see :func:`hammerstein_kernel_op`).
     """
 
     fn: Callable[[GridFunction], GridFunction]
     name: str = "operator"
-    bounded_hint: float | None = None
     monotonicity_warning: str | None = None
 
     def __call__(self, f: GridFunction) -> GridFunction:
@@ -79,17 +78,17 @@ def mult_op() -> MonotoneOp:
     def apply(f: GridFunction) -> GridFunction:
         return GridFunction((1.0 + nodes(f.M)) * f.values)
 
-    return MonotoneOp(apply, name="mult", bounded_hint=2.0)
+    return MonotoneOp(apply, name="mult")
 
 
 def zero_op() -> MonotoneOp:
     """The zero operator; every point is a zero."""
-    return MonotoneOp(lambda f: GridFunction.zeros(f.M), name="zero-op", bounded_hint=0.0)
+    return MonotoneOp(lambda f: GridFunction.zeros(f.M), name="zero-op")
 
 
 def identity_op() -> MonotoneOp:
     """The identity, used as K in the bundled Hammerstein example."""
-    return MonotoneOp(lambda f: f, name="identity", bounded_hint=1.0)
+    return MonotoneOp(lambda f: f, name="identity")
 
 
 def norm_subgradient(
@@ -120,7 +119,6 @@ def norm_subgradient_op(ctx: LpContext, variant: str = "literal") -> MonotoneOp:
     return MonotoneOp(
         lambda x: norm_subgradient(x, ctx, variant),
         name=f"norm-subgrad[{variant}]",
-        bounded_hint=1.0,
     )
 
 
@@ -206,8 +204,8 @@ def vi_normal_cone_selection(
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     if not np.all(lo < hi):
         raise ValueError("box requires lo < hi nodewise")
-    if magnitude < 0.0:
-        raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
+    if not (math.isfinite(magnitude) and magnitude >= 0.0):
+        raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
     violation = feasibility_violation(x, box)
     if violation > feas_tol:
         raise InfeasiblePointError(

@@ -59,8 +59,8 @@ def default_schedule(
     n(i) = i^i.  Offset and base are recorded in ``meta`` and may be
     varied for sensitivity studies.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if theta_log_base <= 1.0:
         raise ValueError(f"log base must exceed 1, got {theta_log_base}")
     ln_b = math.log(theta_log_base)

@@ -8,14 +8,17 @@ inverse duality map,
 with acceptably paired (alpha_n, theta_n): the alpha term is a dual-space
 step along A, the theta term is a vanishing Tikhonov-style pull toward 0
 that selects the zero of minimal norm.  The iteration stops when
-||x_n - x_{n-1}||_p drops below the configured tolerance.
+||x_n - x_{n-1}|| drops below the configured tolerance.
 
-Variants: a J-free Hilbert form at p = 2, coupled primal/dual recursions
-for Hammerstein systems, a subgradient form for minimization, a
-normal-cone-augmented form for variational inequalities over boxes, and
-a J-fixed-point form.  The last three reduce algebraically to the core
-recursion with a modified operator; they are implemented with their own
-update arithmetic so the reductions remain checkable as test oracles.
+One loop runs every solver.  It works on raw nodal arrays and is
+parametrized by the space it runs in: L_p, where J and J^{-1} are the p-
+and q-maps; a Hilbert space (p = 2), where both are the identity; and the
+product space E = X x X*, where J = [J_p, J_q].  The Hammerstein system
+u + KFu = 0 is the core recursion on E with A[u, v] = [Fu - v, Kv + u];
+minimization and variational inequalities run it with a subgradient
+selection, or T plus a normal-cone selection, as the operator.  The
+J-fixed-point form keeps its own (1 - alpha) grouping of the update so its
+reduction to the core recursion stays checkable as a test oracle.
 
 All solvers are deterministic: identical inputs reproduce identical
 iterate and residual sequences bit for bit (wall-clock columns aside).
@@ -23,22 +26,32 @@ iterate and residual sequences bit for bit (wall-clock columns aside).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+# duality_map_inverse, lyapunov_phi and product_duality are not called
+# here; perfbench/tracer.py patches them by name on this module
 from .duality import (
     ProductPoint,
     duality_map,
     duality_map_inverse,
+    duality_values,
     lyapunov_phi,
     product_duality,
-    product_norm,
-    product_pairing,
 )
-from .grid import GridFunction, LpContext, NonFiniteValuesError, lp_norm
+from .grid import (
+    GridFunction,
+    GridMismatchError,
+    LpContext,
+    NonFiniteValuesError,
+    lp_norm,
+    weighted_norm,
+    weighted_sum,
+)
 from .operators import (
     HammersteinPair,
     feasibility_violation,
@@ -73,8 +86,10 @@ class SolveConfig:
     target: GridFunction | ProductPoint | None = None
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        for name in ("tol", "divergence_guard"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -119,64 +134,133 @@ class IterationTrace:
         return np.array([r.residual for r in self.rows])
 
 
-def _phi_to_target(target, x, ctx: LpContext) -> float | None:
-    if target is None:
-        return None
-    if isinstance(target, ProductPoint):
-        raise TypeError("scalar solver received a product-space target")
-    return lyapunov_phi(target, x, ctx)
+@dataclass(frozen=True)
+class _Space:
+    """The space the recursion runs in, one weighted-norm exponent per component.
+
+    Component i of an iterate has norm exponent ``exps[i]``, the matching
+    dual component ``dual_exps[i]``: J maps component i by the
+    exps[i]-duality map and J^{-1} by the dual_exps[i]-map.  In a Hilbert
+    space both maps are the identity.
+    """
+
+    exps: tuple[float, ...]
+    dual_exps: tuple[float, ...]
+    hilbert: bool = False
+
+    def norms(self, x: list) -> list[float]:
+        return [weighted_norm(xi, r) for xi, r in zip(x, self.exps)]
+
+    @staticmethod
+    def norm(norms: list[float]) -> float:
+        """||x||, or (||u||_p^2 + ||v||_q^2)^(1/2) on X x X*."""
+        return norms[0] if len(norms) == 1 else float(np.hypot(*norms))
+
+    def J(self, x: list, norms: list[float]) -> list:
+        if self.hilbert:
+            return x
+        return [duality_values(xi, ni, r) for xi, ni, r in zip(x, norms, self.exps)]
+
+    def Jinv(self, w: list) -> list:
+        if self.hilbert:
+            return w
+        return [duality_values(wi, weighted_norm(wi, r), r) for wi, r in zip(w, self.dual_exps)]
 
 
-def _run(
-    dual_step: Callable,
-    x1: GridFunction,
+def _lp_space(ctx: LpContext) -> _Space:
+    return _Space((ctx.p,), (ctx.q,))
+
+
+def _core_step(jx, ax, a: float, th: float):
+    return jx - a * ax - (a * th) * jx
+
+
+def _jfixed_step(jx, tx, a: float, th: float):
+    return (1.0 - a) * jx + a * tx - (a * th) * jx
+
+
+def _check_grid(points, M: int, what: str) -> None:
+    for f in points:
+        if f.M != M:
+            raise GridMismatchError(f"{what} has M = {f.M}, the context grid has M = {M}")
+
+
+def _iterate(
+    space: _Space,
+    op: Callable,
+    x1: tuple[GridFunction, ...],
     cfg: SolveConfig,
     callback: Callable | None,
-    jmap: Callable[[GridFunction, LpContext], GridFunction],
-    jinv: Callable[[GridFunction, LpContext], GridFunction],
-) -> tuple[GridFunction, IterationTrace]:
-    """Shared driver: stepping, stopping, tracing and guards.
+    step: Callable = _core_step,
+    feasibility: Callable | None = None,
+) -> tuple:
+    """The per-step loop behind every solver: stepping, stopping, tracing, guards.
 
-    ``dual_step(n, x, jx) -> (w, feasibility)`` produces the dual-space
-    vector fed to the inverse map; feasibility is None except for the
-    variational-inequality solver.
+    ``x1`` holds the starting point's components.  ``op(*xs)`` returns the
+    operator's nodal values at x_n, one array per component;
+    ``step(jx, ax, alpha, theta)`` forms the dual-space vector of one
+    component; ``feasibility(*xs)``, when given, fills the feasibility
+    column.  The run stops once every component residual is below tol.
+    Returns the final components followed by the trace.
     """
-    if x1.M != cfg.ctx.M:
-        raise ValueError(f"initial point has M = {x1.M}, context has M = {cfg.ctx.M}")
+    ctx = cfg.ctx
+    _check_grid(x1, ctx.M, "initial point")
+    target = cfg.target
+    if target is not None:
+        t = (target.u, target.v) if isinstance(target, ProductPoint) else (target,)
+        if len(t) != len(x1):
+            raise TypeError(f"a {len(x1)}-component solve received a {len(t)}-component target")
+        _check_grid(t, ctx.M, "target")
+        t = [f.values for f in t]
+        nt = space.norm(space.norms(t))
+    sched = cfg.schedule
     t0 = time.perf_counter()
     trace = IterationTrace(tol=cfg.tol)
-    x = x1
+    xs = x1
+    x = [f.values for f in xs]
+    jx = space.J(x, space.norms(x))
     for n in range(1, cfg.max_iter + 1):
+        a = float(sched.alpha(n))
+        th = float(sched.theta(n))
+        feas = None if feasibility is None else feasibility(*xs)
         try:
-            jx = jmap(x, cfg.ctx)
-            w, feas = dual_step(n, x, jx)
-            x_next = jinv(w, cfg.ctx)
+            ax = op(*xs)
+            w = [step(ji, ai, a, th) for ji, ai in zip(jx, ax)]
+            # the wrap is the non-finite check of the new iterate
+            xs_next = tuple(GridFunction(v) for v in space.Jinv(w))
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
-        residual = lp_norm(x_next - x, cfg.ctx.p)
-        norm = lp_norm(x_next, cfg.ctx.p)
+        x_next = [f.values for f in xs_next]
+        res = [weighted_norm(b - c, r) for b, c, r in zip(x_next, x, space.exps)]
+        norms = space.norms(x_next)
+        norm = space.norm(norms)
         if norm > cfg.divergence_guard:
             raise DivergenceError(
-                f"||x_{n + 1}||_p = {norm:.3e} exceeded the guard "
-                f"{cfg.divergence_guard:.1e}; check the schedule/operator pairing"
+                f"||x_{n + 1}|| = {norm:.3e} exceeded the guard {cfg.divergence_guard:.1e} "
+                f"at step {n}; check the schedule/operator pairing"
             )
+        jx = space.J(x_next, norms)
+        phi = None
+        if target is not None:
+            phi = nt * nt - 2.0 * sum(weighted_sum(ti * ji) for ti, ji in zip(t, jx)) + norm * norm
         trace.rows.append(
             TraceRow(
                 n=n + 1,
-                residual=residual,
+                residual=res[0],
                 iterate_norm=norm,
-                phi_to_target=_phi_to_target(cfg.target, x_next, cfg.ctx),
+                residual_dual=res[1] if len(res) > 1 else None,
+                phi_to_target=phi,
                 feasibility_violation=feas,
                 elapsed=time.perf_counter() - t0,
             )
         )
-        x = x_next
+        xs, x = xs_next, x_next
         if callback is not None:
-            callback(n + 1, x)
-        if residual < cfg.tol:
+            callback(n + 1, *xs)
+        if all(r < cfg.tol for r in res):
             trace.converged = True
             break
-    return x, trace
+    return (*xs, trace)
 
 
 def solve_zero(
@@ -205,18 +289,7 @@ def solve_zero(
     (GridFunction, IterationTrace)
         Final iterate and the full per-step trace.
     """
-    sched = cfg.schedule
-
-    def dual_step(n, x, jx):
-        a = float(sched.alpha(n))
-        th = float(sched.theta(n))
-        return jx - a * A(x) - (a * th) * jx, None
-
-    return _run(dual_step, x1, cfg, callback, duality_map, duality_map_inverse)
-
-
-def _identity_map(f: GridFunction, ctx: LpContext) -> GridFunction:
-    return f
+    return _iterate(_lp_space(cfg.ctx), lambda x: (A(x).values,), (x1,), cfg, callback)
 
 
 def solve_zero_hilbert(
@@ -232,14 +305,8 @@ def solve_zero_hilbert(
     """
     if cfg.ctx.p != 2.0:
         raise ValueError(f"the Hilbert recursion requires p = 2, got p = {cfg.ctx.p}")
-    sched = cfg.schedule
-
-    def dual_step(n, x, jx):
-        a = float(sched.alpha(n))
-        th = float(sched.theta(n))
-        return jx - a * A(x) - (a * th) * jx, None
-
-    return _run(dual_step, x1, cfg, callback, _identity_map, _identity_map)
+    space = _Space((2.0,), (2.0,), hilbert=True)
+    return _iterate(space, lambda x: (A(x).values,), (x1,), cfg, callback)
 
 
 def solve_min(
@@ -273,16 +340,15 @@ def solve_vi(
     beyond the selection tolerance raises
     :class:`~lpmono.operators.InfeasiblePointError`.
     """
-    sched = cfg.schedule
 
-    def dual_step(n, x, jx):
-        feas = feasibility_violation(x, box)
+    def op(x):
         beta = vi_normal_cone_selection(x, box, magnitude=magnitude)
-        a = float(sched.alpha(n))
-        th = float(sched.theta(n))
-        return jx - a * (T(x) + beta) - (a * th) * jx, feas
+        return (T(x).values + beta.values,)
 
-    return _run(dual_step, x1, cfg, callback, duality_map, duality_map_inverse)
+    return _iterate(
+        _lp_space(cfg.ctx), op, (x1,), cfg, callback,
+        feasibility=lambda x: feasibility_violation(x, box),
+    )
 
 
 def solve_jfixed(
@@ -299,14 +365,9 @@ def solve_jfixed(
     solve_zero(J - T) is a test oracle, so the arithmetic here keeps the
     (1 - alpha) grouping instead of delegating.
     """
-    sched = cfg.schedule
-
-    def dual_step(n, x, jx):
-        a = float(sched.alpha(n))
-        th = float(sched.theta(n))
-        return (1.0 - a) * jx + a * T(x) - (a * th) * jx, None
-
-    return _run(dual_step, x1, cfg, callback, duality_map, duality_map_inverse)
+    return _iterate(
+        _lp_space(cfg.ctx), lambda x: (T(x).values,), (x1,), cfg, callback, step=_jfixed_step
+    )
 
 
 def solve_hammerstein(
@@ -318,67 +379,22 @@ def solve_hammerstein(
 ) -> tuple[GridFunction, GridFunction, IterationTrace]:
     """Approximate a solution of u + KFu = 0 via the coupled recursion.
 
-    The primal sequence u_n is driven by Fu_n - v_n through the L_p
-    duality map; the dual sequence v_n by Kv_n + u_n through the L_q map.
-    Componentwise this is the core recursion on the product space
-    E = X x X* with A[u, v] = [Fu - v, Kv + u] (an equivalence the tests
-    exercise).  Stops when both ||u_n - u_{n-1}||_p and
-    ||v_n - v_{n-1}||_q are below tol; the trace carries both residual
-    columns, the product-space iterate norm, and, when a product-space
-    target is declared, the product Lyapunov distance to it.
+    Runs the core recursion on the product space E = X x X* with
+    A[u, v] = [Fu - v, Kv + u] and J = [J_p, J_q]: the primal sequence
+    u_n is driven by Fu_n - v_n through the L_p duality map, the dual
+    sequence v_n by Kv_n + u_n through the L_q map.  Stops when both
+    ||u_n - u_{n-1}||_p and ||v_n - v_{n-1}||_q are below tol; the trace
+    carries both residual columns, the product-space iterate norm, and,
+    when a product-space target is declared, the product Lyapunov
+    distance to it.  The callback is invoked as callback(n, u_n, v_n).
     """
-    if u1.M != cfg.ctx.M or v1.M != cfg.ctx.M:
-        raise ValueError("initial points must live on the context grid")
-    target = cfg.target
-    if target is not None and not isinstance(target, ProductPoint):
-        raise TypeError("Hammerstein solver expects a ProductPoint target")
-    sched = cfg.schedule
     ctx = cfg.ctx
-    t0 = time.perf_counter()
-    trace = IterationTrace(tol=cfg.tol)
-    u, v = u1, v1
-    for n in range(1, cfg.max_iter + 1):
-        a = float(sched.alpha(n))
-        th = float(sched.theta(n))
-        try:
-            ju = duality_map(u, ctx)
-            jv = duality_map_inverse(v, ctx)  # duality map of the dual side
-            wu = ju - a * (pair.F(u) - v) - (a * th) * ju
-            wv = jv - a * (pair.K(v) + u) - (a * th) * jv
-            u_next = duality_map_inverse(wu, ctx)
-            v_next = duality_map(wv, ctx)  # inverse of the dual-side map
-        except NonFiniteValuesError as exc:
-            raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
-        ru = lp_norm(u_next - u, ctx.p)
-        rv = lp_norm(v_next - v, ctx.q)
-        z = ProductPoint(u_next, v_next)
-        norm = product_norm(z, ctx)
-        if norm > cfg.divergence_guard:
-            raise DivergenceError(
-                f"product norm {norm:.3e} exceeded the guard "
-                f"{cfg.divergence_guard:.1e} at step {n + 1}"
-            )
-        phi = None
-        if target is not None:
-            nt = product_norm(target, ctx)
-            phi = nt * nt - 2.0 * product_pairing(target, product_duality(z, ctx)) + norm * norm
-        trace.rows.append(
-            TraceRow(
-                n=n + 1,
-                residual=ru,
-                iterate_norm=norm,
-                residual_dual=rv,
-                phi_to_target=phi,
-                elapsed=time.perf_counter() - t0,
-            )
-        )
-        u, v = u_next, v_next
-        if callback is not None:
-            callback(n + 1, u, v)
-        if ru < cfg.tol and rv < cfg.tol:
-            trace.converged = True
-            break
-    return u, v, trace
+
+    def op(u, v):
+        return pair.F(u).values - v.values, pair.K(v).values + u.values
+
+    space = _Space((ctx.p, ctx.q), (ctx.q, ctx.p))
+    return _iterate(space, op, (u1, v1), cfg, callback)
 
 
 def regularization_path_residual(

@@ -1,0 +1,43 @@
+"""The benchmark's layer tracer still finds every name it patches.
+
+``perfbench/tracer.py`` wraps lpmono's public functions where their callers
+look them up; a refactor that moves or renames one breaks the traced
+benchmark run.  This loads the tracer by path and drives one CLI solve and
+one Hammerstein solve through it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import lpmono
+import lpmono.cli
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_counts_solves():
+    tracer = load_tracer().Tracer()
+    tracer.install(lpmono)
+    try:
+        rec = lpmono.cli.execute(lpmono.cli.example_config(1, tol=1e-3))
+        ctx = lpmono.LpContext(p=1.5, M=100)
+        cfg = lpmono.SolveConfig(ctx=ctx, schedule=lpmono.default_schedule(1.0), max_iter=5)
+        u1 = lpmono.GridFunction.from_callable(lambda t: 1.0 / (1.0 + t * t), ctx.M)
+        v1 = lpmono.GridFunction.from_callable(lambda t: np.exp(-t), ctx.M)
+        *_, trace = lpmono.solve_hammerstein(lpmono.hammerstein_example(), u1, v1, cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.acc["solver.calls"] == 2
+    assert trace.nfe == 5
+    assert tracer.acc["apply.calls"] == rec.trace.nfe + 2 * trace.nfe
+    # one wrap per new iterate component plus one per operator result
+    assert tracer.acc["alloc.calls"] <= 2 * rec.trace.nfe + 4 * trace.nfe

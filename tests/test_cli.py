@@ -3,6 +3,7 @@ exit codes, and end-to-end determinism."""
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,29 +14,35 @@ from lpmono.cli import (
     execute,
     main,
     make_config,
-    preset_catalog,
     resolve_init,
     run_example,
     run_generic,
 )
 
 
+PRESETS = ["inv-quad", "exp", "quad", "cos-exp", "inv-tsin", "exp-neg", "zero"]
+
+
 class TestPresets:
     def test_catalog_names(self):
-        names = [p.name for p in preset_catalog()]
-        assert names == ["inv-quad", "exp", "quad", "cos-exp", "inv-tsin", "exp-neg", "zero"]
+        for name in PRESETS:
+            assert resolve_init(name, 2).M == 2
+        with pytest.raises(ValueError) as info:
+            resolve_init("mystery", 2)
+        assert str(sorted(PRESETS)) in str(info.value)
 
     def test_values_at_sample_points(self):
-        rules = {p.name: p.rule for p in preset_catalog()}
-        t = np.array([0.0, 1.0])
-        assert rules["inv-quad"](t)[0] == 1.0
-        assert rules["inv-quad"](t)[1] == 0.5
-        assert rules["exp"](t)[1] == pytest.approx(math.e)
-        assert rules["quad"](t)[1] == 2.0
-        assert rules["cos-exp"](t)[0] == 1.0
-        assert rules["inv-tsin"](t)[0] == 1.0
-        assert rules["exp-neg"](t)[1] == pytest.approx(1.0 / math.e)
-        assert np.all(rules["zero"](t) == 0.0)
+        # M = 2: the nodes are t = 0, 1/2, 1
+        first = {name: resolve_init(name, 2).values[0] for name in PRESETS}
+        last = {name: resolve_init(name, 2).values[-1] for name in PRESETS}
+        assert first["inv-quad"] == 1.0
+        assert last["inv-quad"] == 0.5
+        assert last["exp"] == pytest.approx(math.e)
+        assert last["quad"] == 2.0
+        assert first["cos-exp"] == 1.0
+        assert first["inv-tsin"] == 1.0
+        assert last["exp-neg"] == pytest.approx(1.0 / math.e)
+        assert np.all(resolve_init("zero", 2).values == 0.0)
 
     def test_resolve_const(self):
         f = resolve_init("const:2.5", 10)
@@ -198,6 +205,12 @@ class TestMainEntryPoint:
     def test_error_exits_one(self, capsys):
         assert main(["zero", "--operator", "banana"]) == 1
         assert "catalog" in capsys.readouterr().err
+
+    def test_nan_tol_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["run-example", "1", "--tol", "nan"]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        assert "tol" in capsys.readouterr().err
 
     def test_incompatible_pair_message_names_signature(self, capsys):
         assert main(["min", "--operator", "norm-subgrad", "--subgrad-variant", "duality",

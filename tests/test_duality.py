@@ -61,28 +61,6 @@ class TestDualityMap:
         jf = duality_map(f, ctx)
         assert np.all(jf.values[f.values == 0.0] == 0.0)
 
-    def test_unknown_variant_rejected(self, ctx):
-        with pytest.raises(ValueError, match="variant"):
-            duality_map(GridFunction.zeros(ctx.M), ctx, variant="fancy")
-
-
-class TestFlippedVariant:
-    """The exponent-interchanged arrangement, kept for sensitivity studies."""
-
-    def test_constants_still_fixed(self, ctx):
-        f = GridFunction.full(ctx.M, 2.0)
-        assert np.allclose(duality_map(f, ctx, variant="flipped").values, 2.0)
-
-    def test_violates_identity_for_nonconstant(self, ctx):
-        f = GridFunction.from_callable(lambda t: t, ctx.M)
-        jf = duality_map(f, ctx, variant="flipped")
-        n = lp_norm(f, ctx.p)
-        assert abs(pairing(f, jf) - n * n) / (n * n) > 1e-3
-
-    def test_zero_maps_to_zero(self, ctx):
-        g = duality_map(GridFunction.zeros(ctx.M), ctx, variant="flipped")
-        assert np.all(g.values == 0.0)
-
 
 class TestDualityMapInverse:
     def test_formula_on_constants(self, ctx):

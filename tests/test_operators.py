@@ -206,6 +206,11 @@ class TestNormalConeSelection:
         with pytest.raises(ValueError, match="magnitude"):
             vi_normal_cone_selection(x, (-1.0, 1.0), magnitude=-1.0)
 
+    @pytest.mark.parametrize("magnitude", [float("nan"), float("inf")])
+    def test_non_finite_magnitude_rejected(self, magnitude):
+        with pytest.raises(ValueError, match="magnitude"):
+            vi_normal_cone_selection(GridFunction.zeros(10), (-1.0, 1.0), magnitude=magnitude)
+
     def test_feasibility_violation_values(self):
         assert feasibility_violation(GridFunction.full(10, 0.5), (-1.0, 1.0)) == 0.0
         assert feasibility_violation(GridFunction.full(10, 1.25), (-1.0, 1.0)) == pytest.approx(0.25)

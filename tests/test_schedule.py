@@ -69,6 +69,11 @@ class TestDefaultSchedule:
         with pytest.raises(ValueError):
             default_schedule(1.0, theta_log_base=10.0)  # needs n0 > 10^10
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            default_schedule(gamma)
+
     def test_meta_records_choices(self):
         s = default_schedule(0.5, theta_offset=20)
         assert s.meta["n0"] == 20

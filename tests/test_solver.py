@@ -302,6 +302,12 @@ class TestGuards:
         with pytest.raises(ValueError):
             config(ctx, max_iter=0)
 
+    @pytest.mark.parametrize("field", ["tol", "divergence_guard"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_config_rejected(self, ctx, field, value):
+        with pytest.raises(ValueError, match=field):
+            config(ctx, **{field: value})
+
     def test_initial_point_grid_checked(self, ctx):
         with pytest.raises(ValueError, match="M = 50"):
             solve_zero(mult_op(), GridFunction.zeros(50), config(ctx))
