@@ -164,8 +164,11 @@ def weighted_sum(a: np.ndarray) -> float:
     """Trapezoid-weighted sum of the M+1 nodal values ``a``.
 
     Every integral, norm and pairing on the grid reduces through here.
+    numpy's pairwise sum fixes the summation order; a BLAS dot would sum
+    in an order that follows its thread count, so results would change
+    bitwise with the number of BLAS threads.
     """
-    return float(trapezoid_weights(a.size - 1) @ a)
+    return float(np.add.reduce(trapezoid_weights(a.size - 1) * a))
 
 
 def weighted_norm(a: np.ndarray, r: float) -> float:

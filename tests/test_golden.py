@@ -8,10 +8,15 @@ and says why.  All runs use M = 100.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpmono
 from lpmono import GridFunction, LpContext, SolveConfig, default_schedule, mult_op, solve_zero
 from lpmono.cli import example_config, execute, make_config
 
@@ -19,41 +24,41 @@ COLUMNS = ("residual", "iterate_norm", "residual_dual", "phi_to_target")
 
 GOLDEN = {
     "example-1": (509, {
-        "residual": "07243ad093641b5d4ab9d740f9e6715a85b611524e7d7b36cdf650fbab1767dd",
-        "iterate_norm": "5f4d319d450b368987bc21f434b95c44d36cd2e631997c3e74bd10acc654f8b4",
-        "phi_to_target": "db0d897625a8684a7023aad57be757e173eb1b2e0208e7efea3cc70c5e4351e0",
+        "residual": "4a30a20964bec7c5ae449c9bd2e284e01fc17a8a7b4c2d2237700c9988802a70",
+        "iterate_norm": "9790b530e9cf24718927e95dc25472f996aba02fa919d8ae7f1216bc01cd6efc",
+        "phi_to_target": "02fca96a2aa0ad65703a3a01147b051e5807ab44741ad784ee3ac13631a29301",
     }),
     "example-2": (584, {
-        "residual": "7a981475e6819dcf69e541f9f1c2c5e82bcb731bbbc5fa03932cc04c221a0dca",
-        "iterate_norm": "73710e0c72399169eff74c751c63bd02a727093c6efbe3ee2cb8c1a9cba62df5",
-        "phi_to_target": "e83c2f0ca7db5ac69518b4bb68d579eefed57a9e9ff21040f8cab8b2b1e2c9e5",
+        "residual": "8e6fd2773195d7758ccbb2b0c1491719e84637946846491a34d08e44f6e7ef8a",
+        "iterate_norm": "3761fa0d3da2325c0aace5059f89fcdff1b91ef4b669ed8ba4570ce76a6c78e4",
+        "phi_to_target": "177af0a385334b2586cfbdf81b51d4c17e22733c7ea16873c3b1b524866b4b52",
     }),
     "example-3": (2040, {
-        "residual": "8dfc64e6809be8db98ffc522cbe1bc954a5914be12f2d0e587696946d8c91923",
-        "iterate_norm": "7d8940d3e8d2107a52daad357b1c88be2097bf4c21c69ea70aedce29af8d81ea",
-        "residual_dual": "146f2b11d092c58ca4b91152496bd88e2e11f8a779ef215eab140815a8707516",
-        "phi_to_target": "969b3451d1c38c4b52b0dc790ad88f16bb2cbabea7cbe6dfee52cf1f748be2ef",
+        "residual": "e4df5ffcfce8425bb20d0d0a04abfdb6f89e432f483d879cb3c4e5b0764df963",
+        "iterate_norm": "cd2e4fd5e33f062bc8198bae512c62707e204f7417af2a0fabfeb4e0b907fe2e",
+        "residual_dual": "1a277bdd5457aea032e1724dc78aa94dcc5e56ba150c5e977fbd053b827d4198",
+        "phi_to_target": "b5d0de98bd150c73976c5eeffb6a36368e31050f0c63811ac5fb71365cc011c0",
     }),
     "hilbert": (546, {
-        "residual": "83a2cef2dd8965307283c198f148d45e0d338ef5d33d2c127815590a66f3fbaa",
-        "iterate_norm": "e2be78a0cfc9938a0144cbd933f1f1f9406c1f085644302e568b7730d56a788c",
+        "residual": "b410a8bd0cc686560e4f7ddfae6eb96397cd7f05c3eebf3e50b340c104b24884",
+        "iterate_norm": "c107190afebaa5f51a40aa9941f886b1544b8a27f82a51ade362b54e0f47745f",
     }),
     "jfixed": (509, {
-        "residual": "d0c1afd6e0eeaea5d788ee9e6b497ecc898f8ed2ad6e7621e3abd46da0a229bf",
-        "iterate_norm": "8e717a9a1ec708c96d231a5159be4d7b6ff1d87507edc06cafc662a0f664f00f",
+        "residual": "dae4333a0a7703704d729a57fa131d97a8cc54ce5e275b5d00b6117197b90f7c",
+        "iterate_norm": "c22cdb9ef95a6c22e85471f5f1800a28dbd73003ee4ddf05ce3a92647aad6e10",
     }),
     "vi": (509, {
-        "residual": "07243ad093641b5d4ab9d740f9e6715a85b611524e7d7b36cdf650fbab1767dd",
-        "iterate_norm": "5f4d319d450b368987bc21f434b95c44d36cd2e631997c3e74bd10acc654f8b4",
+        "residual": "4a30a20964bec7c5ae449c9bd2e284e01fc17a8a7b4c2d2237700c9988802a70",
+        "iterate_norm": "9790b530e9cf24718927e95dc25472f996aba02fa919d8ae7f1216bc01cd6efc",
     }),
     "hammerstein-kernel": (2773, {
-        "residual": "c73469bc17e16c3bab339e72ceffc7ec9cac2ef5dabe350248db4918f1b87974",
-        "iterate_norm": "86707874da2f7dc00d8c37c09f8cd82770bff788d49701d7da61b5b59721a1b3",
-        "residual_dual": "0353876335d6330a2af16a1e3a441e372d49ef3005aa8b226331f06bec1816e0",
+        "residual": "b2fc0abf4eb420089f1641f5d601387abb239cb207b3aa234e18ff0a0a03b528",
+        "iterate_norm": "010ac246ab02d85e7074a33a7b433634a196ff13794a13c346b20efe8a81ee9b",
+        "residual_dual": "6cac87478e5fd9b5a275fa1b81a764116dabac4a8dc77e3210f1577b96840cbb",
     }),
     "nonzero-target": (53, {
-        "residual": "b4c0bc7d339bf8324af97ce1ada24fc813d2a34839ff193203f21734e9885c45",
-        "iterate_norm": "782db338c64e7991a95e79b5349f2619f56546af8eb165aa056e6b52aaa4da71",
+        "residual": "c9da75ea41dce6ba9e0f8c681f9f3cf6e960518856db412541ef8319cd0a0a7b",
+        "iterate_norm": "0a2eda92eb376fedd0d537f51d450a463476aebc887a8927cb8fda7ffa4afaa5",
         "phi_to_target": "19bae2a2406f6173e99d41ccae949d0fb83feb8937161363cc754be9624aeba9",
     }),
 }
@@ -102,3 +107,27 @@ def test_golden_trace(name, tmp_path):
         if values[0] is not None:
             got[col] = fingerprint(values)
     assert got == expected
+
+
+RESIDUAL_BYTES = """
+import sys
+import numpy as np
+from lpmono.cli import example_config, execute
+trace = execute(example_config(1, grid=10_000, tol=1e-3)).trace
+sys.stdout.write(np.asarray(trace.residuals(), dtype="<f8").tobytes().hex())
+"""
+
+
+def test_residuals_independent_of_blas_threads():
+    # at M = 10^4 a BLAS dot sums in an order that follows its thread count
+    src = str(Path(lpmono.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", RESIDUAL_BYTES], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        outs.append(proc.stdout)
+    assert len(outs[0]) == 7 * 16  # 7 steps of 8 bytes
+    assert outs[0] == outs[1]
