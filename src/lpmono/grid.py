@@ -58,7 +58,7 @@ class GridFunction:
             raise ValueError(f"expected a 1-d sample array, got shape {v.shape}")
         if v.size < 3:
             raise ValueError("need at least M = 2 subintervals (3 nodes)")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteValuesError("grid function has NaN or Inf samples")
         v.flags.writeable = False
         self.values = v

@@ -148,13 +148,10 @@ class _Space:
     dual_exps: tuple[float, ...]
     hilbert: bool = False
 
-    def norms(self, x: list) -> list[float]:
-        return [weighted_norm(xi, r) for xi, r in zip(x, self.exps)]
-
-    @staticmethod
-    def norm(norms: list[float]) -> float:
-        """||x||, or (||u||_p^2 + ||v||_q^2)^(1/2) on X x X*."""
-        return norms[0] if len(norms) == 1 else float(np.hypot(*norms))
+    def norms(self, x: list) -> tuple[list[float], float]:
+        """The component norms and ||x||; on X x X*, (||u||_p^2 + ||v||_q^2)^(1/2)."""
+        ns = [weighted_norm(xi, r) for xi, r in zip(x, self.exps)]
+        return ns, ns[0] if len(ns) == 1 else float(np.hypot(*ns))
 
     def J(self, x: list, norms: list[float]) -> list:
         if self.hilbert:
@@ -212,13 +209,13 @@ def _iterate(
             raise TypeError(f"a {len(x1)}-component solve received a {len(t)}-component target")
         _check_grid(t, ctx.M, "target")
         t = [f.values for f in t]
-        nt = space.norm(space.norms(t))
+        nt = space.norms(t)[1]
     sched = cfg.schedule
     t0 = time.perf_counter()
     trace = IterationTrace(tol=cfg.tol)
     xs = x1
     x = [f.values for f in xs]
-    jx = space.J(x, space.norms(x))
+    jx = space.J(x, space.norms(x)[0])
     for n in range(1, cfg.max_iter + 1):
         a = float(sched.alpha(n))
         th = float(sched.theta(n))
@@ -227,13 +224,12 @@ def _iterate(
             ax = op(*xs)
             w = [step(ji, ai, a, th) for ji, ai in zip(jx, ax)]
             # the wrap is the non-finite check of the new iterate
-            xs_next = tuple(GridFunction(v) for v in space.Jinv(w))
+            xs_next = [GridFunction(v) for v in space.Jinv(w)]
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
         x_next = [f.values for f in xs_next]
         res = [weighted_norm(b - c, r) for b, c, r in zip(x_next, x, space.exps)]
-        norms = space.norms(x_next)
-        norm = space.norm(norms)
+        norms, norm = space.norms(x_next)
         if norm > cfg.divergence_guard:
             raise DivergenceError(
                 f"||x_{n + 1}|| = {norm:.3e} exceeded the guard {cfg.divergence_guard:.1e} "
@@ -257,7 +253,7 @@ def _iterate(
         xs, x = xs_next, x_next
         if callback is not None:
             callback(n + 1, *xs)
-        if all(r < cfg.tol for r in res):
+        if max(res) < cfg.tol:
             trace.converged = True
             break
     return (*xs, trace)
