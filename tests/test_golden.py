@@ -28,6 +28,12 @@ GOLDEN = {
         "iterate_norm": "9790b530e9cf24718927e95dc25472f996aba02fa919d8ae7f1216bc01cd6efc",
         "phi_to_target": "02fca96a2aa0ad65703a3a01147b051e5807ab44741ad784ee3ac13631a29301",
     }),
+    # longer than one 4096-step schedule chunk
+    "example-1-1e-12": (5482, {
+        "residual": "61d0fecaa4cc1eb48ade3ae17d655492957cf001bd45bdb673e9f030318ca138",
+        "iterate_norm": "a85c0fc35edcbca1feeea3ec6de6bca811a506c075e830b925ff9a8e37b6a4f8",
+        "phi_to_target": "9b29d98423c1d3652e6fb10316859f5d68833cd45abad892556c40d8e6cec11b",
+    }),
     "example-2": (584, {
         "residual": "8e6fd2773195d7758ccbb2b0c1491719e84637946846491a34d08e44f6e7ef8a",
         "iterate_norm": "3761fa0d3da2325c0aace5059f89fcdff1b91ef4b669ed8ba4570ce76a6c78e4",
@@ -71,6 +77,8 @@ def fingerprint(values) -> str:
 def run_trace(name, tmp_path):
     if name == "example-1":
         return execute(example_config(1, tol=1e-9)).trace
+    if name == "example-1-1e-12":
+        return execute(example_config(1, tol=1e-12)).trace
     if name == "example-2":
         return execute(example_config(2, tol=1e-2)).trace
     if name == "example-3":
