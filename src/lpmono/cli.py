@@ -10,9 +10,9 @@ Exposes the generic solvers (``zero``, ``hilbert``, ``min``, ``vi``,
 
 Every run is described by a plain dict of JSON-able values; rerunning a
 stored config reproduces the iteration count and residuals bit for bit.
-Tolerance ladders fan out over independent processes.  Exit status: 0
-when every run converged, 2 when some run stopped on max_iter, 1 on
-errors.
+A tolerance ladder is one run to its tightest rung, cut into a prefix
+per rung.  Exit status: 0 when every run converged, 2 when some run
+stopped on max_iter, 1 on errors.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -220,12 +218,8 @@ def execute(config: dict) -> RunRecord:
 
 
 def execute_many(configs: list[dict]) -> list[RunRecord]:
-    """Run independent configs, fanning out across processes when >1."""
-    if len(configs) <= 1:
-        return [execute(c) for c in configs]
-    workers = min(len(configs), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(execute, configs))
+    """Run independent configs one after another."""
+    return [execute(c) for c in configs]
 
 
 def example_config(which: int, **overrides) -> dict:
@@ -254,18 +248,19 @@ def run_example(
     ladder_min_tol: float | None = None,
     **overrides,
 ):
-    """Run a bundled example; with ``ladder`` one run per tolerance rung.
+    """Run a bundled example; with ``ladder`` one record per tolerance rung.
 
-    Returns a single :class:`RunRecord`, or a list of them for a ladder.
-    ``ladder_min_tol`` drops rungs tighter than the given tolerance.
+    Returns a single :class:`RunRecord`, or a list cut from one run to
+    the tightest rung; ``ladder_min_tol`` drops rungs tighter than it.
     """
     if not ladder:
         return execute(example_config(which, **overrides))
     tols = [t for t in EXAMPLE_LADDERS[which] if ladder_min_tol is None or t >= ladder_min_tol]
     if not tols:
         raise ValueError(f"ladder-min-tol {ladder_min_tol} removed every rung")
-    configs = [example_config(which, **{**overrides, "tol": t}) for t in tols]
-    return execute_many(configs)
+    full = execute(example_config(which, **{**overrides, "tol": min(tols)}))
+    traces = [full.trace.prefix(t) for t in tols]
+    return [RunRecord({**full.config, "tol": t}, tr, summarize(tr)) for t, tr in zip(tols, traces)]
 
 
 def run_generic(solver: str, operator: str, **flags) -> RunRecord:

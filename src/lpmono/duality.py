@@ -32,15 +32,12 @@ def duality_values(v: np.ndarray, norm: float, r: float) -> np.ndarray:
 
     Evaluates ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) given ``norm`` =
     ||v||_r; zero maps to zero.  With r = p this is J, with r = q it is
-    J^{-1} (the duality map of L_q).  Every duality map in the package
-    evaluates through here.
+    J^{-1} (the duality map of L_q); every duality map in the package
+    evaluates through here.  Overflow gives inf or nan values.
     """
     if norm == 0.0:
         return np.zeros_like(v)
-    # overflow here surfaces as NonFiniteValuesError where the values are
-    # wrapped, so the numpy warnings carry no extra information
-    with np.errstate(over="ignore", invalid="ignore"):
-        return norm ** (2.0 - r) * np.abs(v) ** (r - 1.0) * np.sign(v)
+    return norm ** (2.0 - r) * np.abs(v) ** (r - 1.0) * np.sign(v)
 
 
 def duality_map(f: GridFunction, ctx: LpContext) -> GridFunction:
@@ -48,9 +45,10 @@ def duality_map(f: GridFunction, ctx: LpContext) -> GridFunction:
 
     Evaluates (Jf)(t) = ||f||_p^{2-p} |f(t)|^{p-1} sign f(t), the exponent
     arrangement satisfying <f, Jf> = ||f||_p^2 and ||Jf||_q = ||f||_p.
-    Zero maps to zero.
+    Zero maps to zero.  Overflow surfaces as NonFiniteValuesError.
     """
-    return GridFunction(duality_values(f.values, lp_norm(f, ctx.p), ctx.p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return GridFunction(duality_values(f.values, lp_norm(f, ctx.p), ctx.p))
 
 
 def duality_map_inverse(g: GridFunction, ctx: LpContext) -> GridFunction:
@@ -59,7 +57,8 @@ def duality_map_inverse(g: GridFunction, ctx: LpContext) -> GridFunction:
     Evaluates (J^{-1}g)(t) = ||g||_q^{2-q} |g(t)|^{q-1} sign g(t); this is
     also the duality map of L_q viewed as a primal space.
     """
-    return GridFunction(duality_values(g.values, lp_norm(g, ctx.q), ctx.q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return GridFunction(duality_values(g.values, lp_norm(g, ctx.q), ctx.q))
 
 
 def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
@@ -72,7 +71,8 @@ def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
     x._check_grid(y)
     nx = lp_norm(x, ctx.p)
     ny = lp_norm(y, ctx.p)
-    jy = duality_values(y.values, ny, ctx.p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jy = duality_values(y.values, ny, ctx.p)
     return nx * nx - 2.0 * weighted_sum(x.values * jy) + ny * ny
 
 

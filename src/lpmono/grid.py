@@ -155,10 +155,6 @@ class LpContext:
         """Lipschitz constant 1/(p-1) of the inverse duality map."""
         return 1.0 / (self.p - 1.0)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return trapezoid_weights(self.M)
-
 
 def weighted_sum(a: np.ndarray) -> float:
     """Trapezoid-weighted sum of the M+1 nodal values ``a``.
@@ -172,9 +168,8 @@ def weighted_sum(a: np.ndarray) -> float:
 
 
 def weighted_norm(a: np.ndarray, r: float) -> float:
-    """Weighted r-norm of nodal values: (weighted sum of |a|^r)^(1/r)."""
-    with np.errstate(over="ignore"):  # inf norms feed the non-finite guards
-        return weighted_sum(np.abs(a) ** r) ** (1.0 / r)
+    """Weighted r-norm of nodal values: (weighted sum of |a|^r)^(1/r); overflow reads inf."""
+    return weighted_sum(np.abs(a) ** r) ** (1.0 / r)
 
 
 def trapezoid_integral(f: GridFunction) -> float:
@@ -186,7 +181,8 @@ def lp_norm(f: GridFunction, r: float) -> float:
     """Weighted r-norm (integral of |f|^r, trapezoid weights)^(1/r), r >= 1."""
     if r < 1.0:
         raise ValueError(f"norm exponent must be >= 1, got {r}")
-    return weighted_norm(f.values, r)
+    with np.errstate(over="ignore"):  # inf norms feed the non-finite guards
+        return weighted_norm(f.values, r)
 
 
 def pairing(f: GridFunction, g: GridFunction) -> float:

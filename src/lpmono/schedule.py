@@ -21,10 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-_BLOCK_I_MAX = 12  # i^i beyond this exceeds any practical prefix sum
+_BLOCK_I_MAX = 8  # i = 9 would sum 10^10 terms, about 6 minutes
 
-# chunk length for prefix sums over large blocks
-_CHUNK = 1 << 20
+_CHUNK = 1 << 20  # chunk length for prefix sums over large blocks
+_STEP_CHUNK = 4096  # steps of a solve per array evaluation of alpha and theta
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,12 @@ class ParamSchedule:
     gamma: float
     block: Callable[[int], int]
     meta: dict = field(default_factory=dict)
+
+    def steps(self, count: int):
+        """(n, alpha_n, theta_n) for n = 1..count, evaluated in array chunks."""
+        for start in range(1, count + 1, _STEP_CHUNK):
+            n = np.arange(start, min(start + _STEP_CHUNK, count + 1))
+            yield from zip(n.tolist(), self.alpha(n).tolist(), self.theta(n).tolist())
 
 
 def default_schedule(
@@ -140,8 +146,8 @@ def check_acceptably_paired(
     """Evaluate the block statistics of the pairing over i = i_min..i_max.
 
     The first block is skipped by default: with a shifted theta it is not
-    representative of the limiting behavior.  ``i_max`` is capped at 12;
-    beyond that the block end i^i exceeds any prefix one could sum over.
+    representative of the limiting behavior.  ``i_max`` is capped at 8, which
+    sums alpha over 9^9 terms in about 13 s (7: 8^8 terms, about 1 s).
     """
     if i_max < 2:
         raise ValueError(f"i_max must be >= 2, got {i_max}")
@@ -152,10 +158,7 @@ def check_acceptably_paired(
     if not 1 <= i_min <= i_max:
         raise ValueError(f"need 1 <= i_min <= i_max, got i_min = {i_min}")
 
-    i_values = []
-    s1 = []
-    s2 = []
-    s3 = []
+    i_values, s1, s2, s3 = [], [], [], []
     for i in range(i_min, i_max + 1):
         a = int(schedule.block(i))
         b = int(schedule.block(i + 1))

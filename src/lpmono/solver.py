@@ -133,6 +133,14 @@ class IterationTrace:
     def residuals(self) -> np.ndarray:
         return np.array([r.residual for r in self.rows])
 
+    def prefix(self, tol: float) -> "IterationTrace":
+        """The trace of this solve stopped at ``tol`` >= ``self.tol``, a prefix of this one."""
+        if tol < self.tol:
+            raise ValueError(f"a run to tol {self.tol:g} holds no run to tol {tol:g}")
+        stops = (max(r.residual, r.residual_dual or 0.0) < tol for r in self.rows)
+        end = next((i + 1 for i, stop in enumerate(stops) if stop), None)  # as the engine stops
+        return IterationTrace(self.rows[:end], converged=end is not None, tol=tol)
+
 
 @dataclass(frozen=True)
 class _Space:
@@ -182,6 +190,7 @@ def _check_grid(points, M: int, what: str) -> None:
             raise GridMismatchError(f"{what} has M = {f.M}, the context grid has M = {M}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per solve, see the wrap below
 def _iterate(
     space: _Space,
     op: Callable,
@@ -210,20 +219,17 @@ def _iterate(
         _check_grid(t, ctx.M, "target")
         t = [f.values for f in t]
         nt = space.norms(t)[1]
-    sched = cfg.schedule
     t0 = time.perf_counter()
     trace = IterationTrace(tol=cfg.tol)
     xs = x1
     x = [f.values for f in xs]
     jx = space.J(x, space.norms(x)[0])
-    for n in range(1, cfg.max_iter + 1):
-        a = float(sched.alpha(n))
-        th = float(sched.theta(n))
+    for n, a, th in cfg.schedule.steps(cfg.max_iter):
         feas = None if feasibility is None else feasibility(*xs)
         try:
             ax = op(*xs)
             w = [step(ji, ai, a, th) for ji, ai in zip(jx, ax)]
-            # the wrap is the non-finite check of the new iterate
+            # the wrap is the non-finite check of the new iterate, overflow included
             xs_next = [GridFunction(v) for v in space.Jinv(w)]
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc

@@ -41,3 +41,17 @@ def test_tracer_installs_and_counts_solves():
     assert tracer.acc["apply.calls"] == rec.trace.nfe + 2 * trace.nfe
     # one wrap per new iterate component plus one per operator result
     assert tracer.acc["alloc.calls"] <= 2 * rec.trace.nfe + 4 * trace.nfe
+
+
+def test_ladder_is_one_solve(capsys):
+    tracer = load_tracer().Tracer()
+    tracer.install(lpmono)  # patches cli.execute_many too, so it must still exist
+    try:
+        code = lpmono.cli.main(["run-example", "1", "--ladder", "--ladder-min-tol", "1e-9"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+    assert tracer.acc["solver.calls"] == 1
+    # 509 steps are one chunk of the schedule: one alpha and one theta call
+    assert tracer.acc["schedule.calls"] == 2

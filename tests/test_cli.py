@@ -1,6 +1,7 @@
 """Harness: presets, config dispatch, example runs, ladders, output files,
 exit codes, and end-to-end determinism."""
 
+import dataclasses
 import json
 import math
 import time
@@ -258,6 +259,41 @@ class TestMainEntryPoint:
         assert main(["zero", "--operator", "mult", "--tol", "1e-3"]) == 0
         meta_b = json.loads(capsys.readouterr().out.strip())
         assert meta_a["nfe"] != meta_b["nfe"]
+
+
+def assert_same_record(rung, alone):
+    """A ladder rung equals the separate run at its tol, wall-clock time aside."""
+    untimed = lambda rows: [dataclasses.replace(r, elapsed=0.0) for r in rows]
+    assert untimed(rung.trace.rows) == untimed(alone.trace.rows)
+    assert (rung.trace.converged, rung.trace.tol) == (alone.trace.converged, alone.trace.tol)
+    rung_summary = {k: v for k, v in rung.summary.items() if k != "elapsed_s"}
+    assert rung_summary == {k: v for k, v in alone.summary.items() if k != "elapsed_s"}
+    assert list(rung.config.items()) == list(alone.config.items())
+
+
+class TestLadderSlicing:
+    @pytest.mark.parametrize("which, min_tol", [(1, 1e-9), (2, 1e-3), (3, 1e-6)])
+    def test_rungs_equal_separate_runs(self, which, min_tol):
+        records = run_example(which, ladder=True, ladder_min_tol=min_tol)
+        tols = [t for t in EXAMPLE_LADDERS[which] if t >= min_tol]
+        assert [r.config["tol"] for r in records] == tols
+        for rec in records:
+            assert_same_record(rec, execute(example_config(which, tol=rec.config["tol"])))
+        if which == 2:
+            assert [r.trace.nfe for r in records] == [58, 584, 2874]
+
+    def test_rung_past_max_iter_is_unconverged(self, capsys):
+        records = run_example(1, ladder=True, ladder_min_tol=1e-9, max_iter=100)
+        assert [(r.trace.nfe, r.trace.converged) for r in records] == [
+            (7, True), (53, True), (100, False)
+        ]
+        for rec in records:
+            alone = execute(example_config(1, tol=rec.config["tol"], max_iter=100))
+            assert_same_record(rec, alone)
+        argv = ["run-example", "1", "--ladder", "--ladder-min-tol", "1e-9", "--max-iter", "100"]
+        assert main(argv) == 2
+        metas = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert [m["converged"] for m in metas] == [True, True, False]
 
 
 class TestLadderTable:

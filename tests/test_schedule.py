@@ -1,7 +1,9 @@
 """Parameter sequences: ranges, clipping, blocks, and the acceptably-paired
 block statistics with brute-force oracles."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +60,31 @@ class TestDefaultSchedule:
         n = np.arange(1, 50)
         assert np.allclose(s.alpha(n), [s.alpha(int(k)) for k in n], rtol=0, atol=0)
         assert np.allclose(s.theta(n), [s.theta(int(k)) for k in n], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("base", [math.e, 2.0], ids=["e", "2"])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_chunked_steps_equal_scalar_calls(self, gamma, base):
+        # bit for bit across three array chunks, and sampled out to n = 2e5
+        s = default_schedule(gamma, theta_log_base=base)
+        assert list(s.steps(10_000)) == [(n, s.alpha(n), s.theta(n)) for n in range(1, 10_001)]
+        steps = list(s.steps(200_000))
+        for n in range(1, 200_001, 997):
+            assert steps[n - 1] == (n, s.alpha(n), s.theta(n))
+
+    def test_steps_evaluate_chunks_capped_at_count(self):
+        s = default_schedule(1.0)
+        sizes = []
+
+        def alpha(n):
+            sizes.append(np.size(n))
+            return s.alpha(n)
+
+        counted = dataclasses.replace(s, alpha=alpha)
+        assert len(list(counted.steps(5))) == 5
+        assert sizes == [5]
+        sizes.clear()
+        assert [n for n, _, _ in counted.steps(4097)] == list(range(1, 4098))
+        assert sizes == [4096, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -123,6 +150,10 @@ class TestCheckAcceptablyPaired:
         s = default_schedule(1.0)
         with pytest.raises(OverflowError):
             check_acceptably_paired(s, 13)
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowError):
+            check_acceptably_paired(s, 9)  # 10^10 terms: refused, not summed
+        assert time.perf_counter() - t0 < 0.1
         with pytest.raises(ValueError):
             check_acceptably_paired(s, 1)
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Solver engine: update-rule oracles (scalar recursions, damping factors,
 cross-solver equivalences), stopping/tracing contracts, and guards."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,12 @@ from lpmono import (
     LpContext,
     MonotoneOp,
     NonFiniteIterateError,
+    NonFiniteValuesError,
     ProductPoint,
     SolveConfig,
     default_schedule,
     duality_map,
+    duality_map_inverse,
     hammerstein_example,
     hammerstein_kernel_op,
     j_pseudo_from_monotone,
@@ -289,6 +294,22 @@ class TestGuards:
         with pytest.raises(NonFiniteIterateError, match="step"):
             solve_zero(huge, x1, config(ctx))
 
+    def test_overflow_raises_without_warnings(self, ctx):
+        # the public maps and the engine each ignore overflow, which the
+        # non-finite checks report as errors instead
+        huge = GridFunction.full(ctx.M, 1e250)
+        blowup = MonotoneOp(lambda x: GridFunction(x.values * 1e200), name="blow-up")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lp_norm(huge, 1.5) == math.inf
+            with pytest.raises(NonFiniteValuesError):
+                duality_map(huge, ctx)
+            with pytest.raises(NonFiniteValuesError):
+                duality_map_inverse(huge, ctx)
+            with pytest.raises(NonFiniteIterateError, match="at step 1$"):
+                cfg = config(ctx, divergence_guard=1e300)
+                solve_zero(blowup, GridFunction.full(ctx.M, 1e5), cfg)
+
     def test_max_iter_flagging(self, ctx):
         x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
         _, trace = solve_zero(mult_op(), x1, config(ctx, tol=1e-12, max_iter=10))
@@ -336,6 +357,13 @@ class TestTraceContract:
         _, t2 = solve_zero(mult_op(), x1, config(ctx))
         assert t1.nfe == t2.nfe
         assert np.array_equal(t1.residuals(), t2.residuals())
+
+    def test_prefix_needs_a_looser_tol(self, ctx):
+        x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        _, trace = solve_zero(mult_op(), x1, config(ctx, tol=1e-6))
+        assert trace.prefix(1e-6).rows == trace.rows
+        with pytest.raises(ValueError, match="tol"):
+            trace.prefix(1e-9)
 
     def test_empty_trace_final_raises(self, ctx):
         from lpmono import IterationTrace
