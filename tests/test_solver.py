@@ -299,6 +299,7 @@ class TestGuards:
         # non-finite checks report as errors instead
         huge = GridFunction.full(ctx.M, 1e250)
         blowup = MonotoneOp(lambda x: GridFunction(x.values * 1e200), name="blow-up")
+        cfg = config(ctx, divergence_guard=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert lp_norm(huge, 1.5) == math.inf
@@ -307,7 +308,6 @@ class TestGuards:
             with pytest.raises(NonFiniteValuesError):
                 duality_map_inverse(huge, ctx)
             with pytest.raises(NonFiniteIterateError, match="at step 1$"):
-                cfg = config(ctx, divergence_guard=1e300)
                 solve_zero(blowup, GridFunction.full(ctx.M, 1e5), cfg)
 
     def test_max_iter_flagging(self, ctx):
