@@ -4,7 +4,7 @@ Each run pins the little-endian float64 bytes of ``residual``,
 ``iterate_norm`` and, where the run defines them, ``residual_dual`` and
 ``phi_to_target``.  A change that alters any iterate by one bit fails
 here; a change that is meant to alter the arithmetic updates these values
-and says why.  All runs use M = 100.
+and says why.  All runs use M = 100 but one, example 1 at M = 10^5.
 """
 
 import hashlib
@@ -33,6 +33,12 @@ GOLDEN = {
         "residual": "61d0fecaa4cc1eb48ade3ae17d655492957cf001bd45bdb673e9f030318ca138",
         "iterate_norm": "a85c0fc35edcbca1feeea3ec6de6bca811a506c075e830b925ff9a8e37b6a4f8",
         "phi_to_target": "9b29d98423c1d3652e6fb10316859f5d68833cd45abad892556c40d8e6cec11b",
+    }),
+    # a fine grid, where every nodal pass dominates the step
+    "example-1-M1e5": (53, {
+        "residual": "19b897d1ba55e764db350c1cd30aa5e389cf92126c39b09c1fb2bb2c9f3ba4d2",
+        "iterate_norm": "651ce70ecfc393e4fc52c369de70f1c610783cb39ef67f38014301e9bdd28694",
+        "phi_to_target": "4b0d8387a8c040b372dcd3f0283657dd2f2e850f88ee1be92c1c12a519fc0ac5",
     }),
     "example-2": (584, {
         "residual": "8e6fd2773195d7758ccbb2b0c1491719e84637946846491a34d08e44f6e7ef8a",
@@ -79,6 +85,8 @@ def run_trace(name, tmp_path):
         return execute(example_config(1, tol=1e-9)).trace
     if name == "example-1-1e-12":
         return execute(example_config(1, tol=1e-12)).trace
+    if name == "example-1-M1e5":
+        return execute(example_config(1, grid=100_000, tol=1e-6)).trace
     if name == "example-2":
         return execute(example_config(2, tol=1e-2)).trace
     if name == "example-3":

@@ -55,6 +55,17 @@ def iterates_of(solve, *args, steps, cfg):
     return snaps
 
 
+def overflows_at_call(k):
+    """The identity, except that call k returns 1e300 x: finite values whose step overflows."""
+    calls = []
+
+    def apply(x):
+        calls.append(None)
+        return 1e300 * x if len(calls) == k else x
+
+    return MonotoneOp(apply, name=f"overflow-at-{k}")
+
+
 class TestZeroOperatorDamping:
     def test_matches_scalar_factor_oracle(self, ctx):
         # with A = 0 each step is x -> (1 - alpha_n theta_n) x
@@ -310,6 +321,26 @@ class TestGuards:
             with pytest.raises(NonFiniteIterateError, match="at step 1$"):
                 solve_zero(blowup, GridFunction.full(ctx.M, 1e5), cfg)
 
+    @pytest.mark.parametrize("solve", [solve_zero, solve_zero_hilbert])
+    def test_finite_iterate_with_overflowing_norm_diverges(self, solve):
+        # x_2 ~ 5e159 at every node: finite, but ||x_2||^2 overflows
+        ctx2 = LpContext(p=2.0, M=100)
+        A = MonotoneOp(lambda x: -1e160 * x, name="expanding")
+        cfg = config(ctx2, divergence_guard=1e300)
+        with pytest.raises(DivergenceError, match=r"^\|\|x_2\|\| = inf .* at step 1;"):
+            solve(A, GridFunction.full(ctx2.M, 1.0), cfg)
+
+    def test_operator_overflow_at_third_call(self, ctx):
+        A = overflows_at_call(3)
+        with pytest.raises(NonFiniteIterateError, match="at step 3$"):
+            solve_zero(A, GridFunction.from_callable(INV_QUAD, ctx.M), config(ctx))
+
+    def test_dual_component_overflow_at_third_call(self, ctx):
+        pair = HammersteinPair(F=mult_op(), K=overflows_at_call(3))
+        u1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        with pytest.raises(NonFiniteIterateError, match="at step 3$"):
+            solve_hammerstein(pair, u1, u1, config(ctx))
+
     def test_max_iter_flagging(self, ctx):
         x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
         _, trace = solve_zero(mult_op(), x1, config(ctx, tol=1e-12, max_iter=10))
@@ -436,3 +467,35 @@ class TestRegularizationPathResidual:
     def test_theta_must_be_positive(self, ctx):
         with pytest.raises(ValueError):
             regularization_path_residual(mult_op(), GridFunction.zeros(ctx.M), 0.0, ctx)
+
+
+class TestHeldIterates:
+    """Iterates handed to the callback, and the one returned, stay as they were."""
+
+    @staticmethod
+    def check(solve, args, cfg, norm):
+        held = []
+        *final, trace = solve(*args, cfg, callback=lambda n, *xs: held.append(xs))
+        assert len(held) == trace.nfe >= 5
+        for xs, row in zip(held, trace.rows):
+            assert norm(*xs) == row.iterate_norm
+        assert norm(*final) == trace.final.iterate_norm
+        for a, b in zip(final, held[-1]):
+            assert np.array_equal(a.values, b.values)
+
+    def test_lp(self, ctx):
+        x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        self.check(solve_zero, (mult_op(), x1), config(ctx, tol=1e-3), lambda x: lp_norm(x, ctx.p))
+
+    def test_hilbert(self):
+        ctx2 = LpContext(p=2.0, M=100)
+        x1 = GridFunction.from_callable(INV_QUAD, ctx2.M)
+        cfg = config(ctx2, tol=1e-3)
+        self.check(solve_zero_hilbert, (mult_op(), x1), cfg, lambda x: lp_norm(x, 2.0))
+
+    def test_product_space(self, ctx):
+        u1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        v1 = GridFunction.from_callable(lambda t: np.exp(-t), ctx.M)
+        args = (hammerstein_example(), u1, v1)
+        norm = lambda u, v: float(np.hypot(lp_norm(u, ctx.p), lp_norm(v, ctx.q)))
+        self.check(solve_hammerstein, args, config(ctx, tol=1e-3), norm)
