@@ -20,24 +20,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, LpContext, lp_norm, pairing, weighted_sum
+from .grid import GridFunction, LpContext, abs_norm, lp_norm, pairing, trapezoid_weights, weighted_sum
 
 
 class NoRootError(ValueError):
     """The t_p equation has no root on (0, 1] for the requested exponent."""
 
 
-def duality_values(v: np.ndarray, norm: float, r: float) -> np.ndarray:
-    """Nodal values of the normalized duality map of the weighted l_r space.
+def duality_into(v: np.ndarray, r: float, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> float:
+    """The normalized duality map of the weighted l_r space, into ``out``.
 
-    Evaluates ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) given ``norm`` =
-    ||v||_r; zero maps to zero.  With r = p this is J, with r = q it is
-    J^{-1} (the duality map of L_q); every duality map in the package
-    evaluates through here.  Overflow gives inf or nan values.
+    Writes ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) (zero for v = 0) into
+    ``out`` (not v) and returns ||v||_r, both from one |v|; ``w`` is the
+    grid's weights.  With r = p this is J, with r = q it is J^{-1}; every
+    duality map in the package evaluates through here.  Overflow gives
+    inf or nan values.
     """
+    norm = abs_norm(np.abs(v, out), r, w, scratch)
     if norm == 0.0:
-        return np.zeros_like(v)
-    return norm ** (2.0 - r) * np.abs(v) ** (r - 1.0) * np.sign(v)
+        out.fill(0.0)
+    else:  # the grouping of norm^(2-r) * |v|^(r-1) * sign v
+        np.multiply(np.power(out, r - 1.0, out), norm ** (2.0 - r), out)
+        np.multiply(out, np.sign(v, scratch), out)
+    return norm
+
+
+def duality_values(v: np.ndarray, r: float) -> np.ndarray:
+    """The r-duality map of nodal values ``v`` as a new array (overflow gives inf or nan)."""
+    out = np.empty_like(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        duality_into(v, r, trapezoid_weights(v.size - 1), out, np.empty_like(v))
+    return out
 
 
 def duality_map(f: GridFunction, ctx: LpContext) -> GridFunction:
@@ -47,8 +60,7 @@ def duality_map(f: GridFunction, ctx: LpContext) -> GridFunction:
     arrangement satisfying <f, Jf> = ||f||_p^2 and ||Jf||_q = ||f||_p.
     Zero maps to zero.  Overflow surfaces as NonFiniteValuesError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return GridFunction(duality_values(f.values, lp_norm(f, ctx.p), ctx.p))
+    return GridFunction(duality_values(f.values, ctx.p))
 
 
 def duality_map_inverse(g: GridFunction, ctx: LpContext) -> GridFunction:
@@ -57,8 +69,7 @@ def duality_map_inverse(g: GridFunction, ctx: LpContext) -> GridFunction:
     Evaluates (J^{-1}g)(t) = ||g||_q^{2-q} |g(t)|^{q-1} sign g(t); this is
     also the duality map of L_q viewed as a primal space.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return GridFunction(duality_values(g.values, lp_norm(g, ctx.q), ctx.q))
+    return GridFunction(duality_values(g.values, ctx.q))
 
 
 def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
@@ -70,10 +81,10 @@ def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
     """
     x._check_grid(y)
     nx = lp_norm(x, ctx.p)
-    ny = lp_norm(y, ctx.p)
+    w, jy = trapezoid_weights(y.M), np.empty_like(y.values)
     with np.errstate(over="ignore", invalid="ignore"):
-        jy = duality_values(y.values, ny, ctx.p)
-    return nx * nx - 2.0 * weighted_sum(x.values * jy) + ny * ny
+        ny = duality_into(y.values, ctx.p, w, jy, np.empty_like(jy))
+    return nx * nx - 2.0 * weighted_sum(x.values * jy, w) + ny * ny
 
 
 def v_functional(x: GridFunction, xstar: GridFunction, ctx: LpContext) -> float:

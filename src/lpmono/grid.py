@@ -156,39 +156,43 @@ class LpContext:
         return 1.0 / (self.p - 1.0)
 
 
-def weighted_sum(a: np.ndarray) -> float:
-    """Trapezoid-weighted sum of the M+1 nodal values ``a``.
+def weighted_sum(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Sum of the M+1 nodal values ``a`` under the grid's trapezoid weights ``w``.
 
     Every integral, norm and pairing on the grid reduces through here.
     numpy's pairwise sum fixes the summation order; a BLAS dot would sum
     in an order that follows its thread count, so results would change
-    bitwise with the number of BLAS threads.
+    bitwise with the number of BLAS threads.  ``out`` receives the terms.
     """
-    return float(np.add.reduce(trapezoid_weights(a.size - 1) * a))
+    return float(np.add.reduce(np.multiply(w, a, out)))
 
 
-def weighted_norm(a: np.ndarray, r: float) -> float:
-    """Weighted r-norm of nodal values: (weighted sum of |a|^r)^(1/r); overflow reads inf."""
-    return weighted_sum(np.abs(a) ** r) ** (1.0 / r)
+def abs_norm(m: np.ndarray, r: float, w: np.ndarray, out: np.ndarray) -> float:
+    """Weighted r-norm (weighted sum of m^r)^(1/r) of nodal values with |a| = ``m``.
+
+    ``out`` (which may be m) receives the terms; overflow reads inf.
+    """
+    return weighted_sum(np.power(m, r, out), w, out) ** (1.0 / r)
 
 
 def trapezoid_integral(f: GridFunction) -> float:
     """Trapezoid-rule integral of ``f`` over [0,1]."""
-    return weighted_sum(f.values)
+    return weighted_sum(f.values, trapezoid_weights(f.M))
 
 
 def lp_norm(f: GridFunction, r: float) -> float:
     """Weighted r-norm (integral of |f|^r, trapezoid weights)^(1/r), r >= 1."""
     if r < 1.0:
         raise ValueError(f"norm exponent must be >= 1, got {r}")
+    m = np.abs(f.values)
     with np.errstate(over="ignore"):  # inf norms feed the non-finite guards
-        return weighted_norm(f.values, r)
+        return abs_norm(m, r, trapezoid_weights(f.M), m)
 
 
 def pairing(f: GridFunction, g: GridFunction) -> float:
     """Duality pairing: the trapezoid integral of the product f*g."""
     f._check_grid(g)
-    return weighted_sum(f.values * g.values)
+    return weighted_sum(f.values * g.values, trapezoid_weights(f.M))
 
 
 def random_smooth(rng: np.random.Generator, M: int, scale: float = 1.0) -> GridFunction:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .duality import ProductPoint, duality_map
-from .grid import GridFunction, LpContext, lp_norm, nodes, pairing, random_smooth, trapezoid_weights
+from .duality import ProductPoint, duality_values
+from .grid import GridFunction, LpContext, abs_norm, nodes, pairing, random_smooth, trapezoid_weights
 
 SUBGRADIENT_VARIANTS = ("literal", "duality")
 
@@ -31,16 +32,24 @@ class InfeasiblePointError(ValueError):
 class MonotoneOp:
     """A single-valued map of grid functions, semantically E -> E*.
 
+    ``fn`` maps a GridFunction to a GridFunction, or ``kernel(v, out)``
+    nodal values to nodal values, written into ``out`` (an array like v)
+    or an array of its own; the operator maps each type to itself.
     ``monotonicity_warning`` carries the message of a failed
     sampled-monotonicity check (see :func:`hammerstein_kernel_op`).
     """
 
-    fn: Callable[[GridFunction], GridFunction]
+    fn: Callable[[GridFunction], GridFunction] | None = None
     name: str = "operator"
     monotonicity_warning: str | None = None
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, f: GridFunction) -> GridFunction:
-        return self.fn(f)
+    def __call__(self, x, out=None):
+        if self.kernel is None:  # a map of grid functions, also on nodal values
+            return self.fn(x) if isinstance(x, GridFunction) else self.fn(GridFunction(x)).values
+        if isinstance(x, GridFunction):
+            return GridFunction(self.kernel(x.values, np.empty_like(x.values)))
+        return self.kernel(x, np.empty_like(x) if out is None else out)
 
 
 @dataclass(frozen=True)
@@ -72,23 +81,29 @@ def sample_monotonicity(
     return float(worst)
 
 
+@lru_cache(maxsize=None)
+def _one_plus_t(size: int) -> np.ndarray:
+    return 1.0 + nodes(size - 1)
+
+
+def _zeros(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out.fill(0.0)
+    return out
+
+
 def mult_op() -> MonotoneOp:
     """The multiplication operator (Af)(t) = (t + 1) f(t)."""
-
-    def apply(f: GridFunction) -> GridFunction:
-        return GridFunction((1.0 + nodes(f.M)) * f.values)
-
-    return MonotoneOp(apply, name="mult")
+    return MonotoneOp(kernel=lambda v, out: np.multiply(_one_plus_t(v.size), v, out), name="mult")
 
 
 def zero_op() -> MonotoneOp:
     """The zero operator; every point is a zero."""
-    return MonotoneOp(lambda f: GridFunction.zeros(f.M), name="zero-op")
+    return MonotoneOp(kernel=_zeros, name="zero-op")
 
 
 def identity_op() -> MonotoneOp:
     """The identity, used as K in the bundled Hammerstein example."""
-    return MonotoneOp(lambda f: f, name="identity")
+    return MonotoneOp(kernel=lambda v, out: v, name="identity")
 
 
 def norm_subgradient(
@@ -102,24 +117,22 @@ def norm_subgradient(
     L_p.  At x = 0 the subdifferential is the closed unit dual ball and
     the selection returned is 0.
     """
-    if variant not in SUBGRADIENT_VARIANTS:
-        raise ValueError(f"unknown subgradient variant {variant!r}")
-    norm = lp_norm(x, ctx.p)
-    if norm == 0.0:
-        return GridFunction.zeros(x.M)
-    if variant == "literal":
-        return x / norm
-    return duality_map(x, ctx) / norm
+    return norm_subgradient_op(ctx, variant)(x)
 
 
 def norm_subgradient_op(ctx: LpContext, variant: str = "literal") -> MonotoneOp:
     """The selection of :func:`norm_subgradient` packaged as an operator."""
     if variant not in SUBGRADIENT_VARIANTS:
         raise ValueError(f"unknown subgradient variant {variant!r}")
-    return MonotoneOp(
-        lambda x: norm_subgradient(x, ctx, variant),
-        name=f"norm-subgrad[{variant}]",
-    )
+
+    def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # as lp_norm: an overflowing norm reads inf
+            norm = abs_norm(np.abs(v, out), ctx.p, trapezoid_weights(v.size - 1), out)
+        if norm == 0.0:
+            return _zeros(v, out)
+        return np.divide(v if variant == "literal" else duality_values(v, ctx.p), norm, out)
+
+    return MonotoneOp(kernel=kernel, name=f"norm-subgrad[{variant}]")
 
 
 def hammerstein_example() -> HammersteinPair:
@@ -151,12 +164,12 @@ def hammerstein_kernel_op(kernel) -> MonotoneOp:
     w = trapezoid_weights(M)
     kw = k * w  # fold quadrature weights into the matrix
 
-    def apply(v: GridFunction) -> GridFunction:
-        if v.M != M:
-            raise ValueError(f"kernel built for M = {M}, got function with M = {v.M}")
-        return GridFunction(kw @ v.values)
+    def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if v.size != M + 1:
+            raise ValueError(f"kernel built for M = {M}, got function with M = {v.size - 1}")
+        return np.matmul(kw, v, out)
 
-    slack = sample_monotonicity(apply, M, pairs=50, scale=1.0)
+    slack = sample_monotonicity(MonotoneOp(kernel=kernel), M, pairs=50, scale=1.0)
     warning = None
     if slack < -1e-10:
         warning = (
@@ -164,7 +177,7 @@ def hammerstein_kernel_op(kernel) -> MonotoneOp:
             f"(min pairing {slack:.3e})"
         )
         warnings.warn(warning, stacklevel=2)
-    return MonotoneOp(apply, name="kernel", monotonicity_warning=warning)
+    return MonotoneOp(name="kernel", monotonicity_warning=warning, kernel=kernel)
 
 
 def product_op(pair: HammersteinPair) -> Callable[[ProductPoint], ProductPoint]:
@@ -181,23 +194,23 @@ def product_op(pair: HammersteinPair) -> Callable[[ProductPoint], ProductPoint]:
     return apply
 
 
-def feasibility_violation(x: GridFunction, box) -> float:
-    """Largest nodewise violation of lo <= x <= hi (0 if feasible)."""
+def feasibility_violation(x, box) -> float:
+    """Largest nodewise violation of lo <= x <= hi (0 if feasible); x a GridFunction or array."""
     lo, hi = (np.asarray(b, dtype=float) for b in box)
-    v = x.values
+    v = x.values if isinstance(x, GridFunction) else x
     return float(max(np.max(lo - v, initial=0.0), np.max(v - hi, initial=0.0), 0.0))
 
 
 def vi_normal_cone_selection(
-    x: GridFunction,
+    x,
     box,
     magnitude: float = 1.0,
     feas_tol: float = 1e-12,
-) -> GridFunction:
+):
     """A bounded selection from the normal cone of a nodewise box at x.
 
     Returns +magnitude where the upper bound is active, -magnitude where
-    the lower bound is active, 0 at interior nodes.  Raises
+    the lower bound is active, 0 at interior nodes, in x's type.  Raises
     :class:`InfeasiblePointError` if x leaves the box by more than
     ``feas_tol``.
     """
@@ -211,11 +224,11 @@ def vi_normal_cone_selection(
         raise InfeasiblePointError(
             f"point leaves the box by {violation:.3e} (> {feas_tol:.1e})"
         )
-    v = x.values
+    v = x.values if isinstance(x, GridFunction) else x
     beta = np.zeros_like(v)
     beta[v >= hi] = magnitude
     beta[v <= lo] = -magnitude
-    return GridFunction(beta)
+    return GridFunction(beta) if isinstance(x, GridFunction) else beta
 
 
 def j_pseudo_from_monotone(A: MonotoneOp, ctx: LpContext) -> MonotoneOp:
@@ -225,7 +238,7 @@ def j_pseudo_from_monotone(A: MonotoneOp, ctx: LpContext) -> MonotoneOp:
     what lets the J-fixed-point solver reuse the zero-finding engine.
     """
 
-    def apply(x: GridFunction) -> GridFunction:
-        return duality_map(x, ctx) - A(x)
+    def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.subtract(duality_values(v, ctx.p), A(v), out)
 
-    return MonotoneOp(apply, name=f"J-minus-{A.name}")
+    return MonotoneOp(kernel=kernel, name=f"J-minus-{A.name}")

@@ -37,9 +37,9 @@ import numpy as np
 # here; perfbench/tracer.py patches them by name on this module
 from .duality import (
     ProductPoint,
+    duality_into,
     duality_map,
     duality_map_inverse,
-    duality_values,
     lyapunov_phi,
     product_duality,
 )
@@ -48,12 +48,14 @@ from .grid import (
     GridMismatchError,
     LpContext,
     NonFiniteValuesError,
+    abs_norm,
     lp_norm,
-    weighted_norm,
+    trapezoid_weights,
     weighted_sum,
 )
 from .operators import (
     HammersteinPair,
+    MonotoneOp,
     feasibility_violation,
     vi_normal_cone_selection,
 )
@@ -156,32 +158,30 @@ class _Space:
     dual_exps: tuple[float, ...]
     hilbert: bool = False
 
-    def norms(self, x: list) -> tuple[list[float], float]:
-        """The component norms and ||x||; on X x X*, (||u||_p^2 + ||v||_q^2)^(1/2)."""
-        ns = [weighted_norm(xi, r) for xi, r in zip(x, self.exps)]
-        return ns, ns[0] if len(ns) == 1 else float(np.hypot(*ns))
-
-    def J(self, x: list, norms: list[float]) -> list:
-        if self.hilbert:
-            return x
-        return [duality_values(xi, ni, r) for xi, ni, r in zip(x, norms, self.exps)]
-
-    def Jinv(self, w: list) -> list:
-        if self.hilbert:
-            return w
-        return [duality_values(wi, weighted_norm(wi, r), r) for wi, r in zip(w, self.dual_exps)]
+    @staticmethod
+    def norm(ns: list[float]) -> float:
+        """||x|| from the component norms; on X x X*, (||u||_p^2 + ||v||_q^2)^(1/2)."""
+        return ns[0] if len(ns) == 1 else float(np.hypot(*ns))
 
 
 def _lp_space(ctx: LpContext) -> _Space:
     return _Space((ctx.p,), (ctx.q,))
 
 
-def _core_step(jx, ax, a: float, th: float):
-    return jx - a * ax - (a * th) * jx
+# a step writes its dual-space vector into ``out``, which may be ax (tx); ``s`` is scratch
+def _core_step(jx, ax, a: float, th: float, out, s) -> None:
+    np.subtract(jx, np.multiply(ax, a, out), out)
+    np.subtract(out, np.multiply(jx, a * th, s), out)
 
 
-def _jfixed_step(jx, tx, a: float, th: float):
-    return (1.0 - a) * jx + a * tx - (a * th) * jx
+def _jfixed_step(jx, tx, a: float, th: float, out, s) -> None:
+    np.add(np.multiply(jx, 1.0 - a, s), np.multiply(tx, a, out), out)
+    np.subtract(out, np.multiply(jx, a * th, s), out)
+
+
+def _array_op(A) -> MonotoneOp:
+    """``A`` as the engine calls it, on nodal arrays (see MonotoneOp)."""
+    return A if isinstance(A, MonotoneOp) else MonotoneOp(A)
 
 
 def _check_grid(points, M: int, what: str) -> None:
@@ -190,7 +190,7 @@ def _check_grid(points, M: int, what: str) -> None:
             raise GridMismatchError(f"{what} has M = {f.M}, the context grid has M = {M}")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # once per solve, see the wrap below
+@np.errstate(over="ignore", invalid="ignore")  # once per solve; the norm check reports overflow
 def _iterate(
     space: _Space,
     op: Callable,
@@ -202,12 +202,12 @@ def _iterate(
 ) -> tuple:
     """The per-step loop behind every solver: stepping, stopping, tracing, guards.
 
-    ``x1`` holds the starting point's components.  ``op(*xs)`` returns the
-    operator's nodal values at x_n, one array per component;
-    ``step(jx, ax, alpha, theta)`` forms the dual-space vector of one
-    component; ``feasibility(*xs)``, when given, fills the feasibility
+    ``x1`` holds the starting point's components.  ``op(x, out)`` returns
+    A x_n from the component arrays ``x``, one array per component, into
+    the buffers ``out`` or arrays of its own; ``step`` forms one dual-space
+    component; ``feasibility(*x)``, when given, fills the feasibility
     column.  The run stops once every component residual is below tol.
-    Returns the final components followed by the trace.
+    Returns copies of the final components followed by the trace.
     """
     ctx = cfg.ctx
     _check_grid(x1, ctx.M, "initial point")
@@ -217,34 +217,52 @@ def _iterate(
         if len(t) != len(x1):
             raise TypeError(f"a {len(x1)}-component solve received a {len(t)}-component target")
         _check_grid(t, ctx.M, "target")
+        nt = space.norm([lp_norm(f, r) for f, r in zip(t, space.exps)])
         t = [f.values for f in t]
-        nt = space.norms(t)[1]
+    w = trapezoid_weights(ctx.M)
+    # per component: x_n and x_{n+1} (swapped each step), J x_n, A x_n and the dual vector, scratch
+    x = [f.values.copy() for f in x1]
+    xn, jx, ax, s = ([np.empty_like(v) for v in x] for _ in range(4))
+    comps = list(zip(range(len(x)), space.exps, space.dual_exps))
+    if space.hilbert:
+        jx = x  # J is the identity
+    else:
+        for i, r, _ in comps:
+            duality_into(x[i], r, w, jx[i], s[i])
     t0 = time.perf_counter()
     trace = IterationTrace(tol=cfg.tol)
-    xs = x1
-    x = [f.values for f in xs]
-    jx = space.J(x, space.norms(x)[0])
     for n, a, th in cfg.schedule.steps(cfg.max_iter):
-        feas = None if feasibility is None else feasibility(*xs)
+        feas = None if feasibility is None else feasibility(*x)
         try:
-            ax = op(*xs)
-            w = [step(ji, ai, a, th) for ji, ai in zip(jx, ax)]
-            # the wrap is the non-finite check of the new iterate, overflow included
-            xs_next = [GridFunction(v) for v in space.Jinv(w)]
+            y = op(x, ax)
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
-        x_next = [f.values for f in xs_next]
-        res = [weighted_norm(b - c, r) for b, c, r in zip(x_next, x, space.exps)]
-        norms, norm = space.norms(x_next)
-        if norm > cfg.divergence_guard:
+        res, norms = [], []
+        for i, r, rd in comps:
+            step(jx[i], y[i], a, th, xn[i] if space.hilbert else ax[i], s[i])
+            if not space.hilbert:
+                duality_into(ax[i], rd, w, xn[i], s[i])
+            res.append(abs_norm(np.abs(np.subtract(xn[i], x[i], s[i]), s[i]), r, w, s[i]))
+            norms.append(
+                abs_norm(np.abs(xn[i], s[i]), r, w, s[i]) if space.hilbert
+                else duality_into(xn[i], r, w, jx[i], s[i])
+            )
+        norm = space.norm(norms)
+        # a NaN or inf node makes its component norm non-finite
+        if not norm <= cfg.divergence_guard:
+            if not all(np.isfinite(v).all() for v in xn):
+                raise NonFiniteIterateError(f"iterate became non-finite at step {n}")
             raise DivergenceError(
                 f"||x_{n + 1}|| = {norm:.3e} exceeded the guard {cfg.divergence_guard:.1e} "
                 f"at step {n}; check the schedule/operator pairing"
             )
-        jx = space.J(x_next, norms)
+        x, xn = xn, x
+        if space.hilbert:
+            jx = x
         phi = None
         if target is not None:
-            phi = nt * nt - 2.0 * sum(weighted_sum(ti * ji) for ti, ji in zip(t, jx)) + norm * norm
+            tj = sum(weighted_sum(np.multiply(ti, ji, si), w, si) for ti, ji, si in zip(t, jx, s))
+            phi = nt * nt - 2.0 * tj + norm * norm
         trace.rows.append(
             TraceRow(
                 n=n + 1,
@@ -256,13 +274,12 @@ def _iterate(
                 elapsed=time.perf_counter() - t0,
             )
         )
-        xs, x = xs_next, x_next
         if callback is not None:
-            callback(n + 1, *xs)
+            callback(n + 1, *(GridFunction(v) for v in x))
         if max(res) < cfg.tol:
             trace.converged = True
             break
-    return (*xs, trace)
+    return (*(GridFunction(v) for v in x), trace)
 
 
 def solve_zero(
@@ -291,7 +308,8 @@ def solve_zero(
     (GridFunction, IterationTrace)
         Final iterate and the full per-step trace.
     """
-    return _iterate(_lp_space(cfg.ctx), lambda x: (A(x).values,), (x1,), cfg, callback)
+    A = _array_op(A)
+    return _iterate(_lp_space(cfg.ctx), lambda x, out: (A(x[0], out[0]),), (x1,), cfg, callback)
 
 
 def solve_zero_hilbert(
@@ -307,8 +325,9 @@ def solve_zero_hilbert(
     """
     if cfg.ctx.p != 2.0:
         raise ValueError(f"the Hilbert recursion requires p = 2, got p = {cfg.ctx.p}")
+    A = _array_op(A)
     space = _Space((2.0,), (2.0,), hilbert=True)
-    return _iterate(space, lambda x: (A(x).values,), (x1,), cfg, callback)
+    return _iterate(space, lambda x, out: (A(x[0], out[0]),), (x1,), cfg, callback)
 
 
 def solve_min(
@@ -343,9 +362,11 @@ def solve_vi(
     :class:`~lpmono.operators.InfeasiblePointError`.
     """
 
-    def op(x):
-        beta = vi_normal_cone_selection(x, box, magnitude=magnitude)
-        return (T(x).values + beta.values,)
+    T = _array_op(T)
+
+    def op(x, out):  # the selection first: it rejects an infeasible x_n before T runs
+        beta = vi_normal_cone_selection(x[0], box, magnitude=magnitude)
+        return (np.add(T(x[0], out[0]), beta, out[0]),)
 
     return _iterate(
         _lp_space(cfg.ctx), op, (x1,), cfg, callback,
@@ -367,8 +388,10 @@ def solve_jfixed(
     solve_zero(J - T) is a test oracle, so the arithmetic here keeps the
     (1 - alpha) grouping instead of delegating.
     """
+    T = _array_op(T)
     return _iterate(
-        _lp_space(cfg.ctx), lambda x: (T(x).values,), (x1,), cfg, callback, step=_jfixed_step
+        _lp_space(cfg.ctx), lambda x, out: (T(x[0], out[0]),), (x1,), cfg, callback,
+        step=_jfixed_step,
     )
 
 
@@ -391,9 +414,11 @@ def solve_hammerstein(
     distance to it.  The callback is invoked as callback(n, u_n, v_n).
     """
     ctx = cfg.ctx
+    F, K = _array_op(pair.F), _array_op(pair.K)
 
-    def op(u, v):
-        return pair.F(u).values - v.values, pair.K(v).values + u.values
+    def op(x, out):
+        u, v = x
+        return np.subtract(F(u, out[0]), v, out[0]), np.add(K(v, out[1]), u, out[1])
 
     space = _Space((ctx.p, ctx.q), (ctx.q, ctx.p))
     return _iterate(space, op, (u1, v1), cfg, callback)

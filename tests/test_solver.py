@@ -125,6 +125,16 @@ class TestHilbertForm:
             vals = vals * (1.0 - al * (1.0 + t + th))
             assert np.max(np.abs(snaps[n - 1].values - vals)) <= 1e-12
 
+    def test_phi_is_squared_distance(self):
+        # at p = 2, phi(t, x) = ||t - x||^2
+        ctx2 = LpContext(p=2.0, M=100)
+        target = GridFunction.from_callable(lambda t: 0.1 * np.cos(t), ctx2.M)
+        cfg = config(ctx2, tol=1e-30, max_iter=20, target=target)
+        snaps = iterates_of(solve_zero_hilbert, mult_op(), GridFunction.full(100, 1.0), steps=20, cfg=cfg)
+        _, trace = solve_zero_hilbert(mult_op(), GridFunction.full(100, 1.0), cfg)
+        for x, row in zip(snaps, trace.rows):
+            assert row.phi_to_target == pytest.approx(lp_norm(target - x, 2.0) ** 2, rel=1e-12)
+
     def test_zero_start_stays(self):
         ctx2 = LpContext(p=2.0, M=50)
         cfg = SolveConfig(ctx=ctx2, schedule=default_schedule(1.0), tol=1e-8)
@@ -341,6 +351,12 @@ class TestGuards:
         with pytest.raises(NonFiniteIterateError, match="at step 3$"):
             solve_hammerstein(pair, u1, u1, config(ctx))
 
+    def test_non_finite_kernel_values(self, ctx):
+        # an array kernel's values reach the iterate unchecked until its norm
+        A = MonotoneOp(kernel=lambda v, out: np.multiply(v, np.inf, out=out), name="inf")
+        with pytest.raises(NonFiniteIterateError, match="at step 1$"):
+            solve_zero(A, GridFunction.from_callable(INV_QUAD, ctx.M), config(ctx))
+
     def test_max_iter_flagging(self, ctx):
         x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
         _, trace = solve_zero(mult_op(), x1, config(ctx, tol=1e-12, max_iter=10))
@@ -499,3 +515,47 @@ class TestHeldIterates:
         args = (hammerstein_example(), u1, v1)
         norm = lambda u, v: float(np.hypot(lp_norm(u, ctx.p), lp_norm(v, ctx.q)))
         self.check(solve_hammerstein, args, config(ctx, tol=1e-3), norm)
+
+
+class TestAllocations:
+    """A step wraps no iterate: GridFunction constructions do not grow with
+    the step count, only the returned components are built."""
+
+    @staticmethod
+    def constructions(monkeypatch, solve) -> int:
+        count = []
+        init = GridFunction.__init__
+
+        def counting(self, values):
+            count.append(None)
+            init(self, values)
+
+        with monkeypatch.context() as m:
+            m.setattr(GridFunction, "__init__", counting)
+            solve()
+        return len(count)
+
+    def test_lp(self, monkeypatch, ctx):
+        A, x1 = mult_op(), GridFunction.from_callable(INV_QUAD, ctx.M)
+        counts = [
+            self.constructions(monkeypatch, lambda: solve_zero(A, x1, config(ctx, tol=1e-30, max_iter=k)))
+            for k in (10, 100)
+        ]
+        assert counts == [1, 1]
+
+    def test_kernel_hammerstein(self, monkeypatch, ctx):
+        t = np.linspace(0.0, 1.0, ctx.M + 1)
+        pair = HammersteinPair(F=mult_op(), K=hammerstein_kernel_op(np.exp(-np.abs(t[:, None] - t))))
+        u1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        v1 = GridFunction.from_callable(lambda s: np.exp(-s), ctx.M)
+        zero = GridFunction.zeros(ctx.M)
+        counts = [
+            self.constructions(
+                monkeypatch,
+                lambda: solve_hammerstein(
+                    pair, u1, v1, config(ctx, tol=1e-30, max_iter=k, target=ProductPoint(zero, zero))
+                ),
+            )
+            for k in (10, 100)
+        ]
+        assert counts == [2, 2]
