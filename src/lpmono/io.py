@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .solver import IterationTrace
 
-CSV_HEADER = "n,residual_p,residual_q,iterate_norm,phi_to_target,elapsed_s"
+CSV_HEADER = "n,residual_p,residual_q,iterate_norm,phi_to_target,elapsed_s,feasibility_violation"
 
 
 @dataclass
@@ -48,8 +48,8 @@ def export_csv(rec: RunRecord, path) -> None:
     """Write the trace as CSV with the summary in '#' footer lines.
 
     Columns: n, residual_p, residual_q, iterate_norm, phi_to_target,
-    elapsed_s; residual_q and phi_to_target stay blank when the run does
-    not define them.
+    elapsed_s, feasibility_violation; residual_q, phi_to_target and
+    feasibility_violation stay blank when the run does not define them.
     """
     lines = [CSV_HEADER]
     for row in rec.trace.rows:
@@ -62,6 +62,7 @@ def export_csv(rec: RunRecord, path) -> None:
                     _fmt(row.iterate_norm),
                     _fmt(row.phi_to_target),
                     _fmt(row.elapsed),
+                    _fmt(row.feasibility_violation),
                 )
             )
         )

@@ -50,6 +50,7 @@ class TestCsvExport:
             assert float(fields[3]) == row.iterate_norm
             assert float(fields[4]) == row.phi_to_target
             assert float(fields[5]) == row.elapsed
+            assert fields[6] == ""  # no feasibility column outside a VI solve
 
     def test_dual_residual_column_for_hammerstein(self, hammerstein_record, tmp_path):
         path = tmp_path / "ham.csv"
@@ -57,6 +58,16 @@ class TestCsvExport:
         _, rows, _ = parse_csv(path)
         for fields, row in zip(rows, hammerstein_record.trace.rows):
             assert float(fields[2]) == row.residual_dual
+
+    def test_feasibility_column_for_vi(self, tmp_path):
+        rec = execute(make_config("vi", "mult", box=(-2.0, 2.0), tol=1e-3))
+        path = tmp_path / "vi.csv"
+        export_csv(rec, path)
+        _, rows, _ = parse_csv(path)
+        assert len(rows) == rec.trace.nfe
+        for fields, row in zip(rows, rec.trace.rows):
+            assert row.feasibility_violation is not None
+            assert float(fields[6]) == row.feasibility_violation
 
     def test_phi_blank_without_target(self, tmp_path):
         rec = execute(make_config(solver="zero", operator="mult", tol=1e-3))
