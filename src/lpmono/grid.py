@@ -168,9 +168,9 @@ def weighted_sum(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) ->
 
 
 def abs_norm(m: np.ndarray, r: float, w: np.ndarray, out: np.ndarray) -> float:
-    """Weighted r-norm (weighted sum of m^r)^(1/r) of nodal values with |a| = ``m``.
+    """(weighted sum of m^r)^(1/r), the r-norm of a from m = |a|; overflow reads inf.
 
-    ``out`` (which may be m) receives the terms; overflow reads inf.
+    ``out`` (which may be m) receives the terms.
     """
     return weighted_sum(np.power(m, r, out), w, out) ** (1.0 / r)
 

@@ -33,8 +33,8 @@ class MonotoneOp:
     """A single-valued map of grid functions, semantically E -> E*.
 
     ``fn`` maps a GridFunction to a GridFunction, or ``kernel(v, out)``
-    nodal values to nodal values, written into ``out`` (an array like v)
-    or an array of its own; the operator maps each type to itself.
+    nodal values to nodal values, written into ``out`` (an array like v,
+    not v) or an array of its own; the operator maps each type to itself.
     ``monotonicity_warning`` carries the message of a failed
     sampled-monotonicity check (see :func:`hammerstein_kernel_op`).
     """
