@@ -130,8 +130,9 @@ class TestHilbertForm:
         ctx2 = LpContext(p=2.0, M=100)
         target = GridFunction.from_callable(lambda t: 0.1 * np.cos(t), ctx2.M)
         cfg = config(ctx2, tol=1e-30, max_iter=20, target=target)
-        snaps = iterates_of(solve_zero_hilbert, mult_op(), GridFunction.full(100, 1.0), steps=20, cfg=cfg)
-        _, trace = solve_zero_hilbert(mult_op(), GridFunction.full(100, 1.0), cfg)
+        x1 = GridFunction.full(ctx2.M, 1.0)
+        snaps = iterates_of(solve_zero_hilbert, mult_op(), x1, steps=20, cfg=cfg)
+        _, trace = solve_zero_hilbert(mult_op(), x1, cfg)
         for x, row in zip(snaps, trace.rows):
             assert row.phi_to_target == pytest.approx(lp_norm(target - x, 2.0) ** 2, rel=1e-12)
 
@@ -522,7 +523,7 @@ class TestAllocations:
     the step count, only the returned components are built."""
 
     @staticmethod
-    def constructions(monkeypatch, solve) -> int:
+    def constructions(monkeypatch, solve, max_iter: int) -> int:
         count = []
         init = GridFunction.__init__
 
@@ -532,16 +533,17 @@ class TestAllocations:
 
         with monkeypatch.context() as m:
             m.setattr(GridFunction, "__init__", counting)
-            solve()
+            solve(max_iter)
         return len(count)
 
     def test_lp(self, monkeypatch, ctx):
         A, x1 = mult_op(), GridFunction.from_callable(INV_QUAD, ctx.M)
-        counts = [
-            self.constructions(monkeypatch, lambda: solve_zero(A, x1, config(ctx, tol=1e-30, max_iter=k)))
-            for k in (10, 100)
-        ]
-        assert counts == [1, 1]
+        zero = GridFunction.zeros(ctx.M)
+
+        def solve(k):
+            solve_zero(A, x1, config(ctx, tol=1e-30, max_iter=k, target=zero))
+
+        assert [self.constructions(monkeypatch, solve, k) for k in (10, 100)] == [1, 1]
 
     def test_kernel_hammerstein(self, monkeypatch, ctx):
         t = np.linspace(0.0, 1.0, ctx.M + 1)
@@ -549,13 +551,9 @@ class TestAllocations:
         u1 = GridFunction.from_callable(INV_QUAD, ctx.M)
         v1 = GridFunction.from_callable(lambda s: np.exp(-s), ctx.M)
         zero = GridFunction.zeros(ctx.M)
-        counts = [
-            self.constructions(
-                monkeypatch,
-                lambda: solve_hammerstein(
-                    pair, u1, v1, config(ctx, tol=1e-30, max_iter=k, target=ProductPoint(zero, zero))
-                ),
-            )
-            for k in (10, 100)
-        ]
-        assert counts == [2, 2]
+
+        def solve(k):
+            cfg = config(ctx, tol=1e-30, max_iter=k, target=ProductPoint(zero, zero))
+            solve_hammerstein(pair, u1, v1, cfg)
+
+        assert [self.constructions(monkeypatch, solve, k) for k in (10, 100)] == [2, 2]
