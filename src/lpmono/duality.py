@@ -39,7 +39,7 @@ def duality_into(v: np.ndarray, r: float, w: np.ndarray, out: np.ndarray, scratc
     norm = abs_norm(np.abs(v, out), r, w, scratch)
     if norm == 0.0:
         out.fill(0.0)
-    else:  # the grouping of norm^(2-r) * |v|^(r-1) * sign v
+    else:  # norm^(2-r) * |v|^(r-1) * sign v, grouped as the formula reads
         np.multiply(np.power(out, r - 1.0, out), norm ** (2.0 - r), out)
         np.multiply(out, np.sign(v, scratch), out)
     return norm
