@@ -1,6 +1,7 @@
 """Export formats: CSV/JSON/log-log structure, lossless float round-trips,
 and config-driven reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -139,3 +140,53 @@ class TestJsonExport:
         assert record.summary["final_residual"] == final.residual
         assert record.summary["final_iterate_norm"] == final.iterate_norm
         assert record.summary["nfe"] == record.trace.nfe
+
+
+# Every export byte except the wall clock: the CSV's elapsed_s column and
+# footer line, and the JSON's per-row "elapsed" and summary "elapsed_s".
+EXPORT_RUNS = {
+    "example-3": lambda: execute(example_config(3, tol=1e-6)),  # two residuals and phi
+    "vi": lambda: execute(make_config("vi", "mult", box=(-2.0, 2.0), tol=1e-6)),  # feasibility
+    "example-1": lambda: execute(example_config(1, tol=1e-9)),
+}
+
+EXPORT_SHA256 = {
+    ("example-1", "csv"): "65332c319b32546dbcaa3459332dd5a9eba3c9555c278227a36d423c787bd4d5",
+    ("example-1", "json"): "467897118bc19a48ca938551ec97f98d0b11a3c15b3f343f1476d8099354df2c",
+    ("example-1", "loglog"): "03869b6c2d669c03e92d0b87fc7625616fe4799a2cde4149f49a0af14db1f4e1",
+    ("example-3", "csv"): "6e3e8f25a14b9439a26edc34916e7d902b82cc119396c195c13b11095bdf2cc2",
+    ("example-3", "json"): "4711f9107538321e690cef5de9e91a4112ce8a81416df855952b80171122e07c",
+    ("example-3", "loglog"): "ecd5653be94ad5c90317f34d8488667fb98f8d2526b14f6ebbe2754c5c36ebc5",
+    ("vi", "csv"): "2b8ce061df69da5b3e07dbcadaeb477ffa83b712a78811a9fc01aa4c968fb157",
+    ("vi", "json"): "13aa55c01b8f496c135f64a121f6ccd6a306a13bf3b226bbc1c27a6b74dc69b2",
+    ("vi", "loglog"): "ed65ae915565f54bd850610e367abf4f410dd0ecca2678f312c7d0ebd4e3c8aa",
+}
+
+
+def _untimed(fmt, text):
+    lines = text.splitlines(keepends=True)
+    if fmt == "csv":
+        return "".join(
+            line if line.startswith("#") else ",".join(line.split(",")[:5] + line.split(",")[6:])
+            for line in lines
+            if not line.startswith("# elapsed_s = ")
+        )
+    if fmt == "json":
+        wall = ('"elapsed":', '"elapsed_s":')
+        return "".join(line for line in lines if not line.lstrip().startswith(wall))
+    return text
+
+
+@pytest.fixture(scope="module")
+def export_records():
+    return {name: run() for name, run in EXPORT_RUNS.items()}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "loglog"])
+@pytest.mark.parametrize("name", sorted(EXPORT_RUNS))
+def test_export_bytes(export_records, name, fmt, tmp_path):
+    path = tmp_path / f"run.{fmt}"
+    export = {"csv": export_csv, "json": export_json, "loglog": export_loglog}[fmt]
+    export(export_records[name], path)
+    text = _untimed(fmt, path.read_text(encoding="utf-8"))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[name, fmt]
