@@ -162,14 +162,8 @@ class ProductPoint:
     def __post_init__(self) -> None:
         self.u._check_grid(self.v)
 
-    def __add__(self, other: "ProductPoint") -> "ProductPoint":
-        return ProductPoint(self.u + other.u, self.v + other.v)
-
     def __sub__(self, other: "ProductPoint") -> "ProductPoint":
         return ProductPoint(self.u - other.u, self.v - other.v)
-
-    def __rmul__(self, scalar) -> "ProductPoint":
-        return ProductPoint(scalar * self.u, scalar * self.v)
 
 
 def product_norm(z: ProductPoint, ctx: LpContext) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count, repeat
 
 from .solver import IterationTrace
 
@@ -35,7 +36,7 @@ def summarize(trace: IterationTrace) -> dict:
         "final_iterate_norm": final.iterate_norm,
         "elapsed_s": final.elapsed,
     }
-    if final.residual_dual is not None:
+    if "residual_dual" in trace.columns:
         out["final_residual_dual"] = final.residual_dual
     return out
 
@@ -51,25 +52,16 @@ def export_csv(rec: RunRecord, path) -> None:
     elapsed_s, feasibility_violation; residual_q, phi_to_target and
     feasibility_violation stay blank when the run does not define them.
     """
-    lines = [CSV_HEADER]
-    for row in rec.trace.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.n),
-                    _fmt(row.residual),
-                    _fmt(row.residual_dual),
-                    _fmt(row.iterate_norm),
-                    _fmt(row.phi_to_target),
-                    _fmt(row.elapsed),
-                    _fmt(row.feasibility_violation),
-                )
-            )
-        )
-    for key, value in rec.summary.items():
-        lines.append(f"# {key} = {value if not isinstance(value, float) else format(value, '.17g')}")
+    names = ("residual", "residual_dual", "iterate_norm", "phi_to_target", "elapsed",
+             "feasibility_violation")
+    cols = rec.trace.columns
+    fields = [memoryview(cols[k]) if k in cols else repeat(None) for k in names]  # Python floats
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for n, *row in zip(count(2), *fields):
+            fh.write(",".join((str(n), *map(_fmt, row))) + "\n")
+        for key, value in rec.summary.items():
+            fh.write(f"# {key} = {_fmt(value) if isinstance(value, float) else value}\n")
 
 
 def export_loglog(rec: RunRecord, path) -> int:
@@ -78,8 +70,8 @@ def export_loglog(rec: RunRecord, path) -> int:
     Rows with nonpositive residual cannot appear on a log scale and are
     dropped; writing nothing is an error rather than an empty file.
     """
-    kept = [(row.n, row.residual) for row in rec.trace.rows if row.residual > 0.0]
-    dropped = len(rec.trace.rows) - len(kept)
+    kept = [(n, r) for n, r in enumerate(rec.trace.residuals().tolist(), 2) if r > 0.0]
+    dropped = rec.trace.nfe - len(kept)
     if not kept:
         raise ValueError(
             f"no positive residuals to plot ({dropped} rows dropped); not writing {path}"
@@ -90,25 +82,17 @@ def export_loglog(rec: RunRecord, path) -> int:
     return dropped
 
 
-def _row_dict(row) -> dict:
-    out = {"n": row.n, "residual": row.residual, "iterate_norm": row.iterate_norm}
-    if row.residual_dual is not None:
-        out["residual_dual"] = row.residual_dual
-    if row.phi_to_target is not None:
-        out["phi_to_target"] = row.phi_to_target
-    if row.feasibility_violation is not None:
-        out["feasibility_violation"] = row.feasibility_violation
-    out["elapsed"] = row.elapsed
-    return out
-
-
 def export_json(rec: RunRecord, path) -> None:
     """Write one JSON document: {schema, config, summary, trace}."""
+    cols = rec.trace.columns
+    names = [k for k in ("residual", "iterate_norm", "residual_dual", "phi_to_target",
+                         "feasibility_violation", "elapsed") if k in cols]
+    steps = zip(count(2), *(cols[k].tolist() for k in names))
     doc = {
         "schema": 1,
         "config": rec.config,
         "summary": rec.summary,
-        "trace": [_row_dict(row) for row in rec.trace.rows],
+        "trace": [dict(zip(("n", *names), step)) for step in steps],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1)

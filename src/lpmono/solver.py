@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -98,7 +99,7 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One iteration record; optional columns stay None when undefined."""
+    """One step of a trace, read from its columns; None where a column is undefined."""
 
     n: int
     residual: float
@@ -111,37 +112,56 @@ class TraceRow:
 
 @dataclass
 class IterationTrace:
-    """Per-step history of a solve.
+    """Per-step history of a solve, one read-only float64 array per column.
 
-    ``nfe`` counts operator applications (one per step).  ``converged``
-    is False when the run stopped on max_iter instead of the residual
-    test.
+    ``columns`` always holds ``residual``, ``iterate_norm`` and
+    ``elapsed``; ``residual_dual``, ``phi_to_target`` and
+    ``feasibility_violation`` only where the run defines them.  Entry i
+    is step n = i + 2.  ``nfe`` counts operator applications (one per
+    step).  ``converged`` is False when the run stopped on max_iter
+    instead of the residual test.
     """
 
-    rows: list[TraceRow] = field(default_factory=list)
+    columns: dict[str, np.ndarray] = field(
+        default_factory=lambda: dict.fromkeys(("residual", "iterate_norm", "elapsed"), np.empty(0))
+    )
     converged: bool = False
     tol: float = 0.0
 
+    def __post_init__(self) -> None:
+        for values in self.columns.values():
+            values.flags.writeable = False
+
     @property
     def nfe(self) -> int:
-        return len(self.rows)
+        return len(self.columns["residual"])
+
+    def _row(self, i: int) -> TraceRow:
+        return TraceRow(n=i + 2, **{k: float(v[i]) for k, v in self.columns.items()})
+
+    @property
+    def rows(self) -> tuple[TraceRow, ...]:
+        return tuple(map(self._row, range(self.nfe)))
 
     @property
     def final(self) -> TraceRow:
-        if not self.rows:
+        if not self.nfe:
             raise ValueError("trace is empty")
-        return self.rows[-1]
+        return self._row(self.nfe - 1)
 
     def residuals(self) -> np.ndarray:
-        return np.array([r.residual for r in self.rows])
+        return self.columns["residual"]
 
     def prefix(self, tol: float) -> "IterationTrace":
         """The trace of this solve stopped at ``tol`` >= ``self.tol``, a prefix of this one."""
         if tol < self.tol:
             raise ValueError(f"a run to tol {self.tol:g} holds no run to tol {tol:g}")
-        stops = (max(r.residual, r.residual_dual or 0.0) < tol for r in self.rows)
-        end = next((i + 1 for i, stop in enumerate(stops) if stop), None)  # as the engine stops
-        return IterationTrace(self.rows[:end], converged=end is not None, tol=tol)
+        res = [self.columns[k] for k in ("residual", "residual_dual") if k in self.columns]
+        stops = np.flatnonzero(np.maximum.reduce(res) < tol)  # as the engine stops
+        end = stops[0] + 1 if stops.size else None
+        return IterationTrace(
+            {k: v[:end] for k, v in self.columns.items()}, converged=end is not None, tol=tol
+        )
 
 
 @dataclass(frozen=True)
@@ -198,16 +218,16 @@ def _iterate(
     cfg: SolveConfig,
     callback: Callable | None,
     step: Callable = _core_step,
-    feasibility: Callable | None = None,
 ) -> tuple:
     """The per-step loop behind every solver: stepping, stopping, tracing, guards.
 
     ``x1`` holds the starting point's components.  ``op(x, out)`` returns
     A x_n from the component arrays ``x``, one array per component, into
     the buffers ``out`` or arrays of its own; ``step`` forms one dual-space
-    component; ``feasibility(*x)``, when given, fills the feasibility
-    column.  The run stops once every component residual is below tol.
-    Returns copies of the final components followed by the trace.
+    component.  The run stops once every component residual is below tol.
+    Each step appends its trace values to one buffer, which becomes the
+    trace's columns at the end.  Returns copies of the final components
+    followed by the trace.
     """
     ctx = cfg.ctx
     _check_grid(x1, ctx.M, "initial point")
@@ -229,10 +249,12 @@ def _iterate(
     else:
         for i, r, _ in comps:
             duality_into(x[i], r, w, jx[i], s[i])
+    names = ("residual", "residual_dual")[: len(x)] + ("iterate_norm",)
+    names += ("phi_to_target",) * (target is not None) + ("elapsed",)
+    buf = array("d")
+    converged = False
     t0 = time.perf_counter()
-    trace = IterationTrace(tol=cfg.tol)
     for n, a, th in cfg.schedule.steps(cfg.max_iter):
-        feas = None if feasibility is None else feasibility(*x)
         try:
             y = op(x, ax)
         except NonFiniteValuesError as exc:
@@ -259,27 +281,20 @@ def _iterate(
         x, xn = xn, x
         if space.hilbert:
             jx = x
-        phi = None
+        buf.extend(res)
+        buf.append(norm)
         if target is not None:
             tj = sum(weighted_sum(np.multiply(ti, ji, si), w, si) for ti, ji, si in zip(t, jx, s))
-            phi = nt * nt - 2.0 * tj + norm * norm
-        trace.rows.append(
-            TraceRow(
-                n=n + 1,
-                residual=res[0],
-                iterate_norm=norm,
-                residual_dual=res[1] if len(res) > 1 else None,
-                phi_to_target=phi,
-                feasibility_violation=feas,
-                elapsed=time.perf_counter() - t0,
-            )
-        )
+            buf.append(nt * nt - 2.0 * tj + norm * norm)
+        buf.append(time.perf_counter() - t0)
         if callback is not None:
             callback(n + 1, *(GridFunction(v) for v in x))
         if max(res) < cfg.tol:
-            trace.converged = True
+            converged = True
             break
-    return (*(GridFunction(v) for v in x), trace)
+    table = np.frombuffer(buf).reshape(-1, len(names))
+    columns = {k: table[:, j].copy() for j, k in enumerate(names)}  # each owns its data
+    return (*(GridFunction(v) for v in x), IterationTrace(columns, converged, cfg.tol))
 
 
 def solve_zero(
@@ -357,21 +372,21 @@ def solve_vi(
     Each step applies T plus a bounded normal-cone selection beta_n at
     x_n (zero at interior points, +/- ``magnitude`` on active bounds), so
     interior trajectories coincide with :func:`solve_zero` on T.  The
-    trace records the box violation of each x_n; a point leaving the box
-    beyond the selection tolerance raises
-    :class:`~lpmono.operators.InfeasiblePointError`.
+    trace's ``feasibility_violation`` column holds the box violation of
+    each x_n; a point leaving the box beyond the selection tolerance
+    raises :class:`~lpmono.operators.InfeasiblePointError`.
     """
 
     T = _array_op(T)
+    feas = array("d")
 
     def op(x, out):  # the selection first: it rejects an infeasible x_n before T runs
+        feas.append(feasibility_violation(x[0], box))
         beta = vi_normal_cone_selection(x[0], box, magnitude=magnitude)
         return (np.add(T(x[0], out[0]), beta, out[0]),)
 
-    return _iterate(
-        _lp_space(cfg.ctx), op, (x1,), cfg, callback,
-        feasibility=lambda x: feasibility_violation(x, box),
-    )
+    x, trace = _iterate(_lp_space(cfg.ctx), op, (x1,), cfg, callback)
+    return x, replace(trace, columns={**trace.columns, "feasibility_violation": np.array(feas)})
 
 
 def solve_jfixed(

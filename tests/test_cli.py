@@ -230,6 +230,26 @@ class TestMainEntryPoint:
         doc = json.loads(out.read_text())
         assert doc["schema"] == 1
 
+    def test_loglog_output_file(self, capsys, tmp_path):
+        out = tmp_path / "run.dat"
+        code = main(["run-example", "1", "--tol", "1e-3", "--out", str(out), "--format", "loglog"])
+        assert code == 0
+        meta = json.loads(capsys.readouterr().out.strip())
+        pairs = [line.split() for line in out.read_text().splitlines()]
+        assert len(pairs) == meta["nfe"]
+        assert [int(n) for n, _ in pairs] == list(range(2, 2 + meta["nfe"]))
+        assert float(pairs[-1][1]) == meta["final_residual"]
+
+    def test_run_example_p_override(self, capsys, tmp_path):
+        out = tmp_path / "p2.json"
+        argv = ["run-example", "1", "--tol", "1e-3", "--out", str(out), "--format", "json"]
+        assert main(argv + ["--p", "2"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["p"] == 2.0
+        alone = execute(example_config(1, p=2.0, tol=1e-3)).summary
+        assert (doc["summary"]["nfe"], doc["summary"]["final_residual"]) == (
+            alone["nfe"], alone["final_residual"])
+
     def test_ladder_writes_per_rung_files(self, capsys, tmp_path):
         out = tmp_path / "ladder.csv"
         code = main(["run-example", "1", "--ladder", "--ladder-min-tol", "1e-6",

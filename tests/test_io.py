@@ -3,6 +3,7 @@ and config-driven reproducibility."""
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -190,3 +191,16 @@ def test_export_bytes(export_records, name, fmt, tmp_path):
     export(export_records[name], path)
     text = _untimed(fmt, path.read_text(encoding="utf-8"))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[name, fmt]
+
+
+def test_record_retains_few_bytes_per_step():
+    # example 1 to 1e-12 takes 5482 steps; its columns are 4 float64 values a step
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec = execute(example_config(1, tol=1e-12))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rec.trace.nfe == 5482
+    assert retained / rec.trace.nfe <= 48

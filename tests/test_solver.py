@@ -381,6 +381,15 @@ class TestGuards:
         with pytest.raises(ValueError, match="M = 50"):
             solve_zero(mult_op(), GridFunction.zeros(50), config(ctx))
 
+    def test_product_target_rejected_before_step_one(self, ctx):
+        calls = []
+        A = MonotoneOp(lambda x: calls.append(None) or x, name="counting")
+        zero = GridFunction.zeros(ctx.M)
+        cfg = config(ctx, target=ProductPoint(zero, zero))
+        with pytest.raises(TypeError, match="1-component solve received a 2-component target"):
+            solve_zero(A, GridFunction.from_callable(INV_QUAD, ctx.M), cfg)
+        assert calls == []
+
 
 class TestTraceContract:
     def test_rows_well_formed(self, ctx):
@@ -393,6 +402,18 @@ class TestTraceContract:
         assert all(row.residual >= 0.0 for row in trace.rows)
         assert all(row.phi_to_target is not None and row.phi_to_target >= -1e-10 for row in trace.rows)
         assert trace.converged and trace.final.residual < cfg.tol
+
+    def test_columns_are_owned_read_only_float64(self, ctx):
+        x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        cfg = config(ctx, tol=1e-4, target=GridFunction.zeros(ctx.M))
+        _, trace = solve_zero(mult_op(), x1, cfg)
+        assert set(trace.columns) == {"residual", "iterate_norm", "phi_to_target", "elapsed"}
+        for values in trace.columns.values():
+            assert values.dtype == np.float64 and values.shape == (trace.nfe,)
+            assert values.flags.owndata and not values.flags.writeable
+        assert trace.final == trace.rows[-1]
+        with pytest.raises(AttributeError):
+            trace.rows.append(trace.final)
 
     def test_phi_column_absent_without_target(self, ctx):
         x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
