@@ -116,10 +116,10 @@ class IterationTrace:
 
     ``columns`` always holds ``residual``, ``iterate_norm`` and
     ``elapsed``; ``residual_dual``, ``phi_to_target`` and
-    ``feasibility_violation`` only where the run defines them.  Entry i
-    is step n = i + 2.  ``nfe`` counts operator applications (one per
-    step).  ``converged`` is False when the run stopped on max_iter
-    instead of the residual test.
+    ``feasibility_violation`` only where the run defines them; the arrays
+    passed in are made read-only.  Entry i is step n = i + 2.  ``nfe``
+    counts operator applications (one per step).  ``converged`` is False
+    when the run stopped on max_iter instead of the residual test.
     """
 
     columns: dict[str, np.ndarray] = field(
