@@ -325,3 +325,78 @@ class TestLadderTable:
     def test_example_config_validation(self):
         with pytest.raises(ValueError, match="example"):
             example_config(4)
+
+
+class _Captured(Exception):
+    """Raised by the stand-in for ``execute`` once it has seen a config."""
+
+
+def captured_config(monkeypatch, argv):
+    """The config ``main`` hands to ``execute`` for argv; the solve is skipped."""
+    seen = []
+
+    def capture(config):
+        seen.append(config)
+        raise _Captured
+
+    monkeypatch.setattr("lpmono.cli.execute", capture)
+    assert main(argv) == 1
+    assert len(seen) == 1
+    return seen[0]
+
+
+COMMON_ARGV = ["--p", "1.25", "--grid", "20", "--tol", "1e-4", "--max-iter", "77",
+               "--gamma", "0.5", "--theta-offset", "9", "--theta-base", "3", "--init", "exp"]
+COMMON = dict(p=1.25, grid=20, tol=1e-4, max_iter=77, gamma=0.5, theta_offset=9,
+              theta_base=3.0, init="exp")
+
+# (argv with no optional flag, its expected config builder, the subcommand's
+# own optional flags, and what they set)
+SUBCOMMANDS = {
+    "example-1": (["run-example", "1"], lambda **kw: example_config(1, **kw), [], {}),
+    "example-2": (["run-example", "2"], lambda **kw: example_config(2, **kw), [], {}),
+    "example-3": (["run-example", "3"], lambda **kw: example_config(3, **kw), [], {}),
+    "zero": (["zero", "--operator", "mult"], lambda **kw: make_config("zero", "mult", **kw),
+             [], {}),
+    "hilbert": (["hilbert", "--operator", "mult"],
+                lambda **kw: make_config("hilbert", "mult", **{"p": 2.0, **kw}), [], {}),
+    "min": (["min"], lambda **kw: make_config("min", "norm-subgrad", **kw),
+            ["--operator", "norm-subgrad", "--subgrad-variant", "duality"],
+            {"subgrad_variant": "duality"}),
+    "vi": (["vi", "--operator", "mult"],
+           lambda **kw: make_config("vi", "mult", **{"box": (-1.0, 1.0), **kw}),
+           ["--box=-2,3", "--vi-magnitude", "0.5"], {"box": (-2.0, 3.0), "vi_magnitude": 0.5}),
+    "jfixed": (["jfixed", "--operator", "mult-as-T"],
+               lambda **kw: make_config("jfixed", "mult-as-T", **kw), [], {}),
+    "hammerstein": (["hammerstein", "--operator", "example"],
+                    lambda **kw: make_config("hammerstein", "example",
+                                             **{"init_dual": "inv-tsin", **kw}),
+                    ["--init-dual", "exp-neg"], {"init_dual": "exp-neg"}),
+}
+
+
+class TestFlagsToConfig:
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_no_optional_flag(self, monkeypatch, name):
+        argv, expected, _, _ = SUBCOMMANDS[name]
+        assert captured_config(monkeypatch, argv) == expected()
+
+    @pytest.mark.parametrize("name", list(SUBCOMMANDS))
+    def test_every_flag(self, monkeypatch, tmp_path, name):
+        argv, expected, own_argv, own = SUBCOMMANDS[name]
+        out = ["--out", str(tmp_path / "run.json"), "--format", "json"]
+        config = captured_config(monkeypatch, argv + own_argv + COMMON_ARGV + out)
+        assert config == expected(**own, **COMMON)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_defaults(self, monkeypatch):
+        assert captured_config(monkeypatch, ["hilbert", "--operator", "mult"])["p"] == 2.0
+        assert captured_config(monkeypatch, ["vi", "--operator", "mult"])["box"] == [-1.0, 1.0]
+        hammerstein = captured_config(monkeypatch, ["hammerstein", "--operator", "example"])
+        assert hammerstein["init_dual"] == "inv-tsin"
+
+    def test_ladder_solves_to_its_tightest_rung(self, monkeypatch):
+        argv = ["run-example", "3", "--ladder", "--ladder-min-tol", "1e-6"]
+        config = captured_config(monkeypatch, argv)
+        assert config == example_config(3, tol=1e-6)
+        assert config["tol"] == 1e-6
