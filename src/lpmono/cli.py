@@ -254,18 +254,17 @@ def run_example(
     the tightest rung; ``ladder_min_tol`` drops rungs tighter than it.
     """
     if not ladder:
+        if ladder_min_tol is not None:
+            raise ValueError("--ladder-min-tol has no effect without --ladder")
         return execute(example_config(which, **overrides))
+    if "tol" in overrides:
+        raise ValueError("--tol has no effect with --ladder; use --ladder-min-tol")
     tols = [t for t in EXAMPLE_LADDERS[which] if ladder_min_tol is None or t >= ladder_min_tol]
     if not tols:
         raise ValueError(f"ladder-min-tol {ladder_min_tol} removed every rung")
-    full = execute(example_config(which, **{**overrides, "tol": min(tols)}))
+    full = execute(example_config(which, **overrides, tol=min(tols)))
     traces = [full.trace.prefix(t) for t in tols]
     return [RunRecord({**full.config, "tol": t}, tr, summarize(tr)) for t, tr in zip(tols, traces)]
-
-
-def run_generic(solver: str, operator: str, **flags) -> RunRecord:
-    """Run one generic solve (the Python-level face of the subcommands)."""
-    return execute(make_config(solver=solver, operator=operator, **flags))
 
 
 def _out_path(base: str, tol: float, multi: bool) -> Path:
@@ -273,17 +272,6 @@ def _out_path(base: str, tol: float, multi: bool) -> Path:
     if multi:
         path = path.with_name(f"{path.stem}-tol{tol:.0e}{path.suffix}")
     return path
-
-
-def _write_output(rec: RunRecord, path: Path, fmt: str) -> None:
-    if fmt == "csv":
-        export_csv(rec, path)
-    elif fmt == "json":
-        export_json(rec, path)
-    elif fmt == "loglog":
-        export_loglog(rec, path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}; expected csv, json or loglog")
 
 
 def _emit(rec: RunRecord, out: str | None, fmt: str, multi: bool) -> dict:
@@ -296,22 +284,24 @@ def _emit(rec: RunRecord, out: str | None, fmt: str, multi: bool) -> dict:
     }
     if out is not None:
         path = _out_path(out, rec.config["tol"], multi)
-        _write_output(rec, path, fmt)
+        # looked up per call, so a wrapped lpmono.cli.export_csv is the one used
+        {"csv": export_csv, "json": export_json, "loglog": export_loglog}[fmt](rec, path)
         meta["out"] = str(path)
     print(json.dumps(meta))
     return meta
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=float, default=None, help="primal exponent in (1, 2]")
-    sp.add_argument("--grid", type=int, default=100, help="subinterval count M")
-    sp.add_argument("--tol", type=float, default=1e-6, help="stopping tolerance")
-    sp.add_argument("--max-iter", type=int, default=1_000_000)
-    sp.add_argument("--gamma", type=float, default=1.0, help="step/regularization coupling")
-    sp.add_argument("--theta-offset", type=int, default=16, help="shift n0 in theta_n")
-    sp.add_argument("--theta-base", type=float, default=math.e, help="log base in theta_n")
-    sp.add_argument("--init", default="inv-quad", help="preset | const:<c> | csv:<path>")
-    sp.add_argument("--out", default=None, help="write the run to this path")
+    # no defaults: a flag that is not given takes make_config's default
+    sp.add_argument("--p", type=float, help="primal exponent in (1, 2]")
+    sp.add_argument("--grid", type=int, help="subinterval count M")
+    sp.add_argument("--tol", type=float, help="stopping tolerance")
+    sp.add_argument("--max-iter", type=int)
+    sp.add_argument("--gamma", type=float, help="step/regularization coupling")
+    sp.add_argument("--theta-offset", type=int, help="shift n0 in theta_n")
+    sp.add_argument("--theta-base", type=float, help="log base in theta_n")
+    sp.add_argument("--init", help="preset | const:<c> | csv:<path>")
+    sp.add_argument("--out", help="write the run to this path")
     sp.add_argument("--format", default="csv", choices=("csv", "json", "loglog"))
 
 
@@ -325,84 +315,49 @@ def _build_parser() -> argparse.ArgumentParser:
     ex = sub.add_parser("run-example", help="run one of the bundled examples")
     ex.add_argument("which", type=int, choices=(1, 2, 3))
     ex.add_argument("--ladder", action="store_true", help="rerun across the tolerance ladder")
-    ex.add_argument(
-        "--ladder-min-tol",
-        type=float,
-        default=None,
-        help="skip ladder rungs tighter than this tolerance",
-    )
+    ex.add_argument("--ladder-min-tol", type=float, help="skip ladder rungs tighter than this tol")
     _add_common_flags(ex)
 
     for name in SOLVERS:
         sp = sub.add_parser(name, help=f"run the generic '{name}' solver")
-        sp.add_argument("--operator", required=(name != "min"), default="norm-subgrad" if name == "min" else None)
         if name == "min":
+            sp.add_argument("--operator", default="norm-subgrad")
             sp.add_argument(
                 "--subgrad-variant",
-                default="literal",
                 choices=("literal", "duality"),
                 help="subgradient selection for the p-norm",
             )
+        else:
+            sp.add_argument("--operator", required=True)
         if name == "vi":
             sp.add_argument("--box", default="-1,1", help="nodewise bounds lo,hi (use --box=-1,1)")
-            sp.add_argument("--vi-magnitude", type=float, default=1.0)
+            sp.add_argument("--vi-magnitude", type=float)
         if name == "hammerstein":
             sp.add_argument("--init-dual", default="inv-tsin", help="dual-side starting point")
         _add_common_flags(sp)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, solver: str) -> dict:
-    kwargs = dict(
-        solver=solver,
-        operator=args.operator,
-        init=args.init,
-        p=args.p if args.p is not None else (2.0 if solver == "hilbert" else 1.5),
-        grid=args.grid,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        gamma=args.gamma,
-        theta_offset=args.theta_offset,
-        theta_base=args.theta_base,
-    )
-    if solver == "min":
-        kwargs["subgrad_variant"] = args.subgrad_variant
-    if solver == "vi":
-        parts = str(args.box).split(",")
-        if len(parts) != 2:
-            raise ValueError(f"--box expects 'lo,hi', got {args.box!r}")
-        kwargs["box"] = (float(parts[0]), float(parts[1]))
-        kwargs["vi_magnitude"] = args.vi_magnitude
-    if solver == "hammerstein":
-        kwargs["init_dual"] = args.init_dual
-    return make_config(**kwargs)
-
-
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(_build_parser().parse_args(argv))
+    command, out, fmt = flags.pop("command"), flags.pop("out"), flags.pop("format")
+    flags = {k: v for k, v in flags.items() if v is not None}  # given, or defaulted above
     try:
-        if args.command == "run-example":
-            overrides = {}
-            if args.p is not None:
-                overrides["p"] = args.p
-            for key in ("grid", "tol", "max_iter", "gamma", "theta_offset", "theta_base", "init"):
-                overrides[key] = getattr(args, key)
-            result = run_example(
-                args.which,
-                ladder=args.ladder,
-                ladder_min_tol=args.ladder_min_tol,
-                **overrides,
-            )
+        if command == "run-example":
+            result = run_example(**flags)
             records = result if isinstance(result, list) else [result]
-            multi = len(records) > 1
         else:
-            config = _config_from_args(args, args.command)
-            records = [execute(config)]
-            multi = False
+            if command == "hilbert":
+                flags.setdefault("p", 2.0)
+            if "box" in flags:
+                box = flags["box"].split(",")
+                if len(box) != 2:
+                    raise ValueError(f"--box expects 'lo,hi', got {flags['box']!r}")
+                flags["box"] = box  # make_config converts the bounds to float
+            records = [execute(make_config(command, **flags))]
         for rec in records:
-            _emit(rec, args.out, args.format, multi)
+            _emit(rec, out, fmt, len(records) > 1)
     except Exception as exc:  # surface everything as exit code 1
         print(f"lpmono: error: {exc}", file=sys.stderr)
         return 1

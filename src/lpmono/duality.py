@@ -22,6 +22,9 @@ import numpy as np
 
 from .grid import GridFunction, LpContext, abs_norm, lp_norm, pairing, trapezoid_weights, weighted_sum
 
+_XU_RESIDUAL_TOL = 1e-12  # |t_p equation| accepted at the root
+_XU_MAX_ITER = 200  # bisection steps for t_p
+
 
 class NoRootError(ValueError):
     """The t_p equation has no root on (0, 1] for the requested exponent."""
@@ -106,7 +109,7 @@ def _tp_equation(t: float, p: float) -> float:
     return (p - 1.0) * t ** (p - 1.0) + (p - 1.0) * t ** (p - 2.0) - 1.0
 
 
-def xu_constants(p: float, residual_tol: float = 1e-12, max_iter: int = 200) -> XuConstants:
+def xu_constants(p: float) -> XuConstants:
     """Solve (p-1) t^{p-1} + (p-1) t^{p-2} - 1 = 0 on (0, 1] by bisection.
 
     The equation has a root on (0, 1] exactly for 1 < p <= 3/2 (at p = 3/2
@@ -119,9 +122,9 @@ def xu_constants(p: float, residual_tol: float = 1e-12, max_iter: int = 200) -> 
     lo, hi = 1e-12, 1.0
     f_lo = _tp_equation(lo, p)
     f_hi = _tp_equation(hi, p)
-    if abs(f_hi) <= residual_tol:
+    if abs(f_hi) <= _XU_RESIDUAL_TOL:
         t_p = hi
-    elif abs(f_lo) <= residual_tol:
+    elif abs(f_lo) <= _XU_RESIDUAL_TOL:
         t_p = lo
     elif f_lo * f_hi > 0.0:
         raise NoRootError(
@@ -129,19 +132,19 @@ def xu_constants(p: float, residual_tol: float = 1e-12, max_iter: int = 200) -> 
             "the root exists only for 1 < p <= 1.5"
         )
     else:
-        for _ in range(max_iter):
+        for _ in range(_XU_MAX_ITER):
             mid = 0.5 * (lo + hi)
             f_mid = _tp_equation(mid, p)
-            if abs(f_mid) <= residual_tol or hi - lo < 4.0 * np.finfo(float).eps * mid:
+            if abs(f_mid) <= _XU_RESIDUAL_TOL or hi - lo < 4.0 * np.finfo(float).eps * mid:
                 break
             if f_lo * f_mid <= 0.0:
                 hi, f_hi = mid, f_mid
             else:
                 lo, f_lo = mid, f_mid
         t_p = 0.5 * (lo + hi)
-        if abs(_tp_equation(t_p, p)) > residual_tol:
+        if abs(_tp_equation(t_p, p)) > _XU_RESIDUAL_TOL:
             raise NoRootError(
-                f"bisection did not reach residual {residual_tol} for p = {p}"
+                f"bisection did not reach residual {_XU_RESIDUAL_TOL} for p = {p}"
             )
     c_p = (1.0 + t_p ** (p - 1.0)) * (1.0 + t_p) ** (-(p - 1.0))
     return XuConstants(t_p=t_p, c_p=c_p)

@@ -97,9 +97,3 @@ def export_json(rec: RunRecord, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-
-
-def read_json(path) -> dict:
-    """Load a JSON export (for config round-trips and audits)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

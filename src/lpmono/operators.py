@@ -22,6 +22,7 @@ from .duality import ProductPoint, duality_values
 from .grid import GridFunction, LpContext, abs_norm, nodes, pairing, random_smooth, trapezoid_weights
 
 SUBGRADIENT_VARIANTS = ("literal", "duality")
+_FEAS_TOL = 1e-12  # box violation that vi_normal_cone_selection still accepts
 
 
 class InfeasiblePointError(ValueError):
@@ -106,10 +107,8 @@ def identity_op() -> MonotoneOp:
     return MonotoneOp(kernel=lambda v, out: v, name="identity")
 
 
-def norm_subgradient(
-    x: GridFunction, ctx: LpContext, variant: str = "literal"
-) -> GridFunction:
-    """A selection from the subdifferential of f(x) = ||x||_p.
+def norm_subgradient_op(ctx: LpContext, variant: str = "literal") -> MonotoneOp:
+    """A selection from the subdifferential of f(x) = ||x||_p, as an operator.
 
     ``literal`` takes the Hilbert-space formula at face value and returns
     x / ||x||_p; ``duality`` returns J(x) / ||x||_p, the selection with
@@ -117,11 +116,6 @@ def norm_subgradient(
     L_p.  At x = 0 the subdifferential is the closed unit dual ball and
     the selection returned is 0.
     """
-    return norm_subgradient_op(ctx, variant)(x)
-
-
-def norm_subgradient_op(ctx: LpContext, variant: str = "literal") -> MonotoneOp:
-    """The selection of :func:`norm_subgradient` packaged as an operator."""
     if variant not in SUBGRADIENT_VARIANTS:
         raise ValueError(f"unknown subgradient variant {variant!r}")
 
@@ -201,18 +195,13 @@ def feasibility_violation(x, box) -> float:
     return float(max(np.max(lo - v, initial=0.0), np.max(v - hi, initial=0.0), 0.0))
 
 
-def vi_normal_cone_selection(
-    x,
-    box,
-    magnitude: float = 1.0,
-    feas_tol: float = 1e-12,
-):
+def vi_normal_cone_selection(x, box, magnitude: float = 1.0):
     """A bounded selection from the normal cone of a nodewise box at x.
 
     Returns +magnitude where the upper bound is active, -magnitude where
     the lower bound is active, 0 at interior nodes, in x's type.  Raises
     :class:`InfeasiblePointError` if x leaves the box by more than
-    ``feas_tol``.
+    1e-12.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     if not np.all(lo < hi):
@@ -220,9 +209,9 @@ def vi_normal_cone_selection(
     if not (math.isfinite(magnitude) and magnitude >= 0.0):
         raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
     violation = feasibility_violation(x, box)
-    if violation > feas_tol:
+    if violation > _FEAS_TOL:
         raise InfeasiblePointError(
-            f"point leaves the box by {violation:.3e} (> {feas_tol:.1e})"
+            f"point leaves the box by {violation:.3e} (> {_FEAS_TOL:.1e})"
         )
     v = x.values if isinstance(x, GridFunction) else x
     beta = np.zeros_like(v)

@@ -25,6 +25,7 @@ _BLOCK_I_MAX = 8  # i = 9 would sum 10^10 terms, about 6 minutes
 
 _CHUNK = 1 << 20  # chunk length for prefix sums over large blocks
 _STEP_CHUNK = 4096  # steps of a solve per array evaluation of alpha and theta
+_S2_MIN = 0.1  # the bound S2 must stay above to count as bounded away from 0
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,10 @@ class PairingReport:
     """Block statistics S1, S2, S3 for i in [i_min, i_max] plus flags.
 
     ``s1_decreasing_to_zero`` requires strict decrease across the sampled
-    blocks; ``s2_bounded_away`` requires min(S2) >= the threshold passed
-    to the check; ``s3_decreasing_to_zero`` is a trend flag: the final
-    value must be the sample minimum and lie below the first (blocks at
-    the start of the prefix are transient under a shifted theta).
+    blocks; ``s2_bounded_away`` requires min(S2) >= 0.1;
+    ``s3_decreasing_to_zero`` is a trend flag: the final value must be
+    the sample minimum and lie below the first (blocks at the start of
+    the prefix are transient under a shifted theta).
     """
 
     i_values: tuple
@@ -141,7 +142,6 @@ def check_acceptably_paired(
     schedule: ParamSchedule,
     i_max: int,
     i_min: int = 2,
-    s2_min: float = 0.1,
 ) -> PairingReport:
     """Evaluate the block statistics of the pairing over i = i_min..i_max.
 
@@ -173,7 +173,7 @@ def check_acceptably_paired(
         s3.append((th_a - th_b) * sum_a)
 
     s1_flag = all(x > y for x, y in zip(s1, s1[1:])) and s1[-1] > 0.0
-    s2_flag = min(s2) >= s2_min
+    s2_flag = min(s2) >= _S2_MIN
     s3_flag = s3[-1] < s3[0] and s3[-1] <= min(s3)
     return PairingReport(
         i_values=tuple(i_values),

@@ -17,7 +17,6 @@ from lpmono.cli import (
     make_config,
     resolve_init,
     run_example,
-    run_generic,
 )
 
 
@@ -74,13 +73,13 @@ class TestExampleRuns:
 
     def test_generic_zero_aliases_example_one(self):
         a = execute(example_config(1))
-        b = run_generic("zero", "mult", init="inv-quad", target="zero")
+        b = execute(make_config("zero", "mult", init="inv-quad", target="zero"))
         assert a.summary["nfe"] == b.summary["nfe"]
         assert a.summary["final_residual"] == b.summary["final_residual"]
 
     def test_jfixed_matches_zero_end_to_end(self):
-        a = run_generic("zero", "mult", init="inv-quad")
-        b = run_generic("jfixed", "mult-as-T", init="inv-quad")
+        a = execute(make_config("zero", "mult", init="inv-quad"))
+        b = execute(make_config("jfixed", "mult-as-T", init="inv-quad"))
         assert a.summary["nfe"] == b.summary["nfe"]
         assert a.summary["final_residual"] == pytest.approx(
             b.summary["final_residual"], rel=1e-10
@@ -160,13 +159,13 @@ class TestConfigDispatch:
             )
 
     def test_vi_runs_inside_box(self):
-        rec = run_generic("vi", "mult", init="inv-quad", box=(-2.0, 2.0), tol=1e-4)
+        rec = execute(make_config("vi", "mult", init="inv-quad", box=(-2.0, 2.0), tol=1e-4))
         assert rec.summary["converged"]
 
     def test_zero_operator_damping_hand_values(self):
         # A = 0, constant start: x_{n+1} = (1 - alpha_n theta_n) x_n, and on
         # a 4-subinterval grid the residual is the plain coefficient gap
-        rec = run_generic("zero", "zero-op", init="const:1", grid=4, max_iter=5, tol=1e-12)
+        rec = execute(make_config("zero", "zero-op", init="const:1", grid=4, max_iter=5, tol=1e-12))
         sched_alpha = lambda n: min(1.0 / (n + 1.0), 1.0 / math.log(math.log(n + 16.0)))
         sched_theta = lambda n: 1.0 / math.log(math.log(n + 16.0))
         c, expected = 1.0, []
@@ -259,6 +258,23 @@ class TestMainEntryPoint:
         assert len(lines) == 2  # rungs 1e-3 and 1e-6
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == ["ladder-tol1e-03.csv", "ladder-tol1e-06.csv"]
+
+    def test_ladder_min_tol_needs_ladder(self, capsys):
+        with pytest.raises(ValueError, match="--ladder-min-tol has no effect without --ladder"):
+            run_example(1, ladder_min_tol=1e-9)
+        assert main(["run-example", "1", "--ladder-min-tol", "1e-9"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--ladder-min-tol has no effect without --ladder" in err
+
+    def test_tol_with_ladder_is_refused(self, capsys):
+        with pytest.raises(ValueError, match="--tol has no effect with --ladder"):
+            run_example(1, ladder=True, ladder_min_tol=1e-6, tol=1e-3)
+        assert main(["run-example", "1", "--ladder", "--ladder-min-tol", "1e-6",
+                     "--tol", "1e-3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "use --ladder-min-tol" in err
 
     def test_vi_box_flag_parsing(self, capsys):
         code = main(["vi", "--operator", "mult", "--box=-2,2", "--tol", "1e-3"])
@@ -388,12 +404,6 @@ class TestFlagsToConfig:
         config = captured_config(monkeypatch, argv + own_argv + COMMON_ARGV + out)
         assert config == expected(**own, **COMMON)
         assert list(tmp_path.iterdir()) == []
-
-    def test_cli_defaults(self, monkeypatch):
-        assert captured_config(monkeypatch, ["hilbert", "--operator", "mult"])["p"] == 2.0
-        assert captured_config(monkeypatch, ["vi", "--operator", "mult"])["box"] == [-1.0, 1.0]
-        hammerstein = captured_config(monkeypatch, ["hammerstein", "--operator", "example"])
-        assert hammerstein["init_dual"] == "inv-tsin"
 
     def test_ladder_solves_to_its_tightest_rung(self, monkeypatch):
         argv = ["run-example", "3", "--ladder", "--ladder-min-tol", "1e-6"]

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from lpmono import export_csv, export_json, export_loglog, read_json
+from lpmono import export_csv, export_json, export_loglog
 from lpmono.cli import example_config, execute, make_config
 from lpmono.io import CSV_HEADER
 
@@ -109,7 +109,7 @@ class TestJsonExport:
     def test_document_shape(self, record, tmp_path):
         path = tmp_path / "run.json"
         export_json(record, path)
-        doc = read_json(path)
+        doc = json.loads(path.read_text())
         assert doc["schema"] == 1
         assert set(doc) == {"schema", "config", "summary", "trace"}
         assert len(doc["trace"]) == record.trace.nfe
@@ -130,7 +130,7 @@ class TestJsonExport:
     def test_config_round_trip_reproduces_run(self, record, tmp_path):
         path = tmp_path / "run.json"
         export_json(record, path)
-        doc = read_json(path)
+        doc = json.loads(path.read_text())
         rerun = execute(doc["config"])
         assert rerun.summary["nfe"] == record.summary["nfe"]
         assert rerun.summary["final_residual"] == record.summary["final_residual"]

@@ -16,7 +16,6 @@ from lpmono import (
     j_pseudo_from_monotone,
     lp_norm,
     mult_op,
-    norm_subgradient,
     norm_subgradient_op,
     pairing,
     product_op,
@@ -47,30 +46,28 @@ class TestMultOp:
 class TestNormSubgradient:
     def test_zero_selection_at_zero(self, ctx):
         for variant in ("literal", "duality"):
-            g = norm_subgradient(GridFunction.zeros(ctx.M), ctx, variant)
+            g = norm_subgradient_op(ctx, variant)(GridFunction.zeros(ctx.M))
             assert np.all(g.values == 0.0)
 
     def test_positive_constant_gives_one(self, ctx):
         x = GridFunction.full(ctx.M, 2.5)
         for variant in ("literal", "duality"):
-            g = norm_subgradient(x, ctx, variant)
+            g = norm_subgradient_op(ctx, variant)(x)
             assert np.allclose(g.values, 1.0, rtol=1e-13)
 
     def test_literal_variant_is_normalized_point(self, rng, ctx):
         x = random_smooth(rng, ctx.M, scale=3.0)
-        g = norm_subgradient(x, ctx, "literal")
+        g = norm_subgradient_op(ctx, "literal")(x)
         assert np.allclose(g.values, x.values / lp_norm(x, ctx.p), rtol=1e-14)
 
     def test_duality_selection_identities(self, rng, ctx):
         for _ in range(20):
             x = random_smooth(rng, ctx.M, scale=3.0)
-            g = norm_subgradient(x, ctx, "duality")
+            g = norm_subgradient_op(ctx, "duality")(x)
             assert pairing(x, g) == pytest.approx(lp_norm(x, ctx.p), rel=1e-8)
             assert lp_norm(g, ctx.q) == pytest.approx(1.0, rel=1e-10)
 
     def test_unknown_variant(self, ctx):
-        with pytest.raises(ValueError, match="variant"):
-            norm_subgradient(GridFunction.zeros(ctx.M), ctx, "other")
         with pytest.raises(ValueError, match="variant"):
             norm_subgradient_op(ctx, "other")
 
