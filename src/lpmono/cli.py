@@ -87,6 +87,14 @@ def resolve_init(source: str, M: int) -> GridFunction:
     )
 
 
+def _initial_point(config: dict, key: str, M: int) -> GridFunction:
+    """The initial point of config field ``key``; an error names its flag."""
+    try:
+        return resolve_init(config[key], M)
+    except ValueError as exc:
+        raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
+
+
 def make_config(
     solver: str,
     operator: str,
@@ -141,12 +149,8 @@ def execute(config: dict) -> RunRecord:
     solver = config["solver"]
     operator = config["operator"]
     ctx = LpContext(p=config["p"], M=config["grid"])
-    sched = default_schedule(
-        gamma=config["gamma"],
-        theta_offset=config["theta_offset"],
-        theta_log_base=config["theta_base"],
-    )
-    x1 = resolve_init(config["init"], ctx.M)
+    sched = default_schedule(config["gamma"], config["theta_offset"], config["theta_base"])
+    x1 = _initial_point(config, "init", ctx.M)
 
     target = None
     if config.get("target") == "zero":
@@ -155,14 +159,8 @@ def execute(config: dict) -> RunRecord:
     elif config.get("target") is not None:
         raise ValueError(f"unknown target {config['target']!r}; only 'zero' is supported")
 
-    cfg = SolveConfig(
-        ctx=ctx,
-        schedule=sched,
-        tol=config["tol"],
-        max_iter=config["max_iter"],
-        divergence_guard=config["divergence_guard"],
-        target=target,
-    )
+    cfg = SolveConfig(ctx=ctx, schedule=sched, tol=config["tol"], max_iter=config["max_iter"],
+                      divergence_guard=config["divergence_guard"], target=target)
 
     if solver == "zero":
         _, trace = solve_zero(_catalog_operator(operator), x1, cfg)
@@ -207,13 +205,12 @@ def execute(config: dict) -> RunRecord:
             )
         if config["init_dual"] is None:
             raise ValueError("solver 'hammerstein' needs --init-dual for the dual start")
-        v1 = resolve_init(config["init_dual"], ctx.M)
+        v1 = _initial_point(config, "init_dual", ctx.M)
         _, _, trace = solve_hammerstein(pair, x1, v1, cfg)
     else:  # pragma: no cover - guarded by make_config
         raise ValueError(f"unknown solver {solver!r}")
 
-    stored = dict(config)
-    stored["schedule"] = dict(sched.meta)  # formulas + n0/base/gamma, for audits
+    stored = {**config, "schedule": dict(sched.meta)}  # formulas + n0/base/gamma, for audits
     return RunRecord(config=stored, trace=trace, summary=summarize(trace))
 
 
@@ -229,13 +226,8 @@ def example_config(which: int, **overrides) -> dict:
     elif which == 2:
         base = dict(solver="min", operator="norm-subgrad", init="inv-quad", target="zero")
     elif which == 3:
-        base = dict(
-            solver="hammerstein",
-            operator="example",
-            init="inv-quad",
-            init_dual="inv-tsin",
-            target="zero",
-        )
+        base = dict(solver="hammerstein", operator="example", init="inv-quad",
+                    init_dual="inv-tsin", target="zero")
     else:
         raise ValueError(f"example must be 1, 2 or 3, got {which}")
     base.update(overrides)
@@ -267,23 +259,12 @@ def run_example(
     return [RunRecord({**full.config, "tol": t}, tr, summarize(tr)) for t, tr in zip(tols, traces)]
 
 
-def _out_path(base: str, tol: float, multi: bool) -> Path:
-    path = Path(base)
-    if multi:
-        path = path.with_name(f"{path.stem}-tol{tol:.0e}{path.suffix}")
-    return path
-
-
-def _emit(rec: RunRecord, out: str | None, fmt: str, multi: bool) -> dict:
-    meta = {
-        "solver": rec.config["solver"],
-        "operator": rec.config["operator"],
-        "init": rec.config["init"],
-        "tol": rec.config["tol"],
-        **rec.summary,
-    }
+def _emit(rec: RunRecord, out: str | None, fmt: str, ladder: bool) -> dict:
+    meta = {k: rec.config[k] for k in ("solver", "operator", "init", "tol")} | rec.summary
     if out is not None:
-        path = _out_path(out, rec.config["tol"], multi)
+        path = Path(out)
+        if ladder:  # every rung names its tol, however many rungs are left
+            path = path.with_name(f"{path.stem}-tol{rec.config['tol']:.0e}{path.suffix}")
         # looked up per call, so a wrapped lpmono.cli.export_csv is the one used
         {"csv": export_csv, "json": export_json, "loglog": export_loglog}[fmt](rec, path)
         meta["out"] = str(path)
@@ -351,13 +332,14 @@ def main(argv=None) -> int:
             if command == "hilbert":
                 flags.setdefault("p", 2.0)
             if "box" in flags:
-                box = flags["box"].split(",")
-                if len(box) != 2:
-                    raise ValueError(f"--box expects 'lo,hi', got {flags['box']!r}")
-                flags["box"] = box  # make_config converts the bounds to float
+                try:
+                    lo, hi = map(float, flags["box"].split(","))
+                except ValueError:
+                    raise ValueError(f"--box expects 'lo,hi', got {flags['box']!r}") from None
+                flags["box"] = [lo, hi]
             records = [execute(make_config(command, **flags))]
         for rec in records:
-            _emit(rec, out, fmt, len(records) > 1)
+            _emit(rec, out, fmt, flags.get("ladder", False))
     except Exception as exc:  # surface everything as exit code 1
         print(f"lpmono: error: {exc}", file=sys.stderr)
         return 1

@@ -36,15 +36,17 @@ def duality_into(v: np.ndarray, r: float, w: np.ndarray, out: np.ndarray, scratc
     Writes ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) (zero for v = 0) into
     ``out`` (not v) and returns ||v||_r, both from one |v|; ``w`` is the
     grid's weights.  With r = p this is J, with r = q it is J^{-1}; every
-    duality map in the package evaluates through here.  Overflow gives
-    inf or nan values.
+    duality map in the package evaluates through here.  The sign is
+    copied from v in one pass, which equals multiplying by sign v bit for
+    bit except at a -0.0 node, which maps to -0.0.  Overflow gives inf
+    or nan values.
     """
     norm = abs_norm(np.abs(v, out), r, w, scratch)
     if norm == 0.0:
         out.fill(0.0)
-    else:  # norm^(2-r) * |v|^(r-1) * sign v, grouped as the formula reads
+    else:  # norm^(2-r) * |v|^(r-1), grouped as the formula reads, then v's sign
         np.multiply(np.power(out, r - 1.0, out), norm ** (2.0 - r), out)
-        np.multiply(out, np.sign(v, scratch), out)
+        np.copysign(out, v, out)
     return norm
 
 
@@ -120,8 +122,7 @@ def xu_constants(p: float) -> XuConstants:
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
     lo, hi = 1e-12, 1.0
-    f_lo = _tp_equation(lo, p)
-    f_hi = _tp_equation(hi, p)
+    f_lo, f_hi = _tp_equation(lo, p), _tp_equation(hi, p)
     if abs(f_hi) <= _XU_RESIDUAL_TOL:
         t_p = hi
     elif abs(f_lo) <= _XU_RESIDUAL_TOL:
@@ -143,9 +144,7 @@ def xu_constants(p: float) -> XuConstants:
                 lo, f_lo = mid, f_mid
         t_p = 0.5 * (lo + hi)
         if abs(_tp_equation(t_p, p)) > _XU_RESIDUAL_TOL:
-            raise NoRootError(
-                f"bisection did not reach residual {_XU_RESIDUAL_TOL} for p = {p}"
-            )
+            raise NoRootError(f"bisection did not reach residual {_XU_RESIDUAL_TOL} for p = {p}")
     c_p = (1.0 + t_p ** (p - 1.0)) * (1.0 + t_p) ** (-(p - 1.0))
     return XuConstants(t_p=t_p, c_p=c_p)
 

@@ -93,9 +93,7 @@ class GridFunction:
 
     def _check_grid(self, other: "GridFunction") -> None:
         if self.values.size != other.values.size:
-            raise GridMismatchError(
-                f"grid mismatch: M = {self.M} vs M = {other.M}"
-            )
+            raise GridMismatchError(f"grid mismatch: M = {self.M} vs M = {other.M}")
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         self._check_grid(other)

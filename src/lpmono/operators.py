@@ -188,11 +188,43 @@ def product_op(pair: HammersteinPair) -> Callable[[ProductPoint], ProductPoint]:
     return apply
 
 
+def _gaps(v: np.ndarray, lo, hi, out: np.ndarray) -> tuple[float, float]:
+    """max(lo - v) and max(v - hi) over the nodes, each >= 0 exactly where its bound is active."""
+    top = np.maximum.reduce
+    return float(top(np.subtract(lo, v, out))), float(top(np.subtract(v, hi, out)))
+
+
 def feasibility_violation(x, box) -> float:
     """Largest nodewise violation of lo <= x <= hi (0 if feasible); x a GridFunction or array."""
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     v = x.values if isinstance(x, GridFunction) else x
-    return float(max(np.max(lo - v, initial=0.0), np.max(v - hi, initial=0.0), 0.0))
+    return max(0.0, *_gaps(v, lo, hi, np.empty_like(v)))
+
+
+def _box_selection(box, magnitude: float) -> Callable[[np.ndarray, np.ndarray], float]:
+    """Check ``box`` and ``magnitude`` once; ``select(v, out)`` then writes the selection at
+    nodal values v into ``out`` (not v) and returns v's box violation, computed once for both."""
+    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    if not np.all(lo < hi):
+        raise ValueError("box requires lo < hi nodewise")
+    if not (math.isfinite(magnitude) and magnitude >= 0.0):
+        raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
+
+    def select(v: np.ndarray, out: np.ndarray) -> float:
+        below, above = _gaps(v, lo, hi, out)
+        violation = max(0.0, below, above)
+        if violation > _FEAS_TOL:
+            raise InfeasiblePointError(
+                f"point leaves the box by {violation:.3e} (> {_FEAS_TOL:.1e})"
+            )
+        out.fill(0.0)
+        if above >= 0.0:
+            out[v >= hi] = magnitude
+        if below >= 0.0:
+            out[v <= lo] = -magnitude
+        return violation
+
+    return select
 
 
 def vi_normal_cone_selection(x, box, magnitude: float = 1.0):
@@ -203,20 +235,9 @@ def vi_normal_cone_selection(x, box, magnitude: float = 1.0):
     :class:`InfeasiblePointError` if x leaves the box by more than
     1e-12.
     """
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
-    if not np.all(lo < hi):
-        raise ValueError("box requires lo < hi nodewise")
-    if not (math.isfinite(magnitude) and magnitude >= 0.0):
-        raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
-    violation = feasibility_violation(x, box)
-    if violation > _FEAS_TOL:
-        raise InfeasiblePointError(
-            f"point leaves the box by {violation:.3e} (> {_FEAS_TOL:.1e})"
-        )
     v = x.values if isinstance(x, GridFunction) else x
-    beta = np.zeros_like(v)
-    beta[v >= hi] = magnitude
-    beta[v <= lo] = -magnitude
+    beta = np.empty_like(v)
+    _box_selection(box, magnitude)(v, beta)
     return GridFunction(beta) if isinstance(x, GridFunction) else beta
 
 

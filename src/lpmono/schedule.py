@@ -128,8 +128,7 @@ class PairingReport:
 
 def _block_alpha_sums(schedule: ParamSchedule, a: int, b: int) -> tuple[float, float]:
     """(sum alpha_j^2, sum alpha_j) over the inclusive range j = a..b."""
-    total_sq = 0.0
-    total = 0.0
+    total_sq = total = 0.0
     for start in range(a, b + 1, _CHUNK):
         j = np.arange(start, min(start + _CHUNK, b + 1), dtype=np.int64)
         al = np.asarray(schedule.alpha(j), dtype=float)
@@ -160,13 +159,11 @@ def check_acceptably_paired(
 
     i_values, s1, s2, s3 = [], [], [], []
     for i in range(i_min, i_max + 1):
-        a = int(schedule.block(i))
-        b = int(schedule.block(i + 1))
+        a, b = int(schedule.block(i)), int(schedule.block(i + 1))
         if b <= a:
             raise ValueError(f"block sequence is not strictly increasing at i = {i}")
         sum_sq, sum_a = _block_alpha_sums(schedule, a, b)
-        th_a = float(schedule.theta(a))
-        th_b = float(schedule.theta(b))
+        th_a, th_b = float(schedule.theta(a)), float(schedule.theta(b))
         i_values.append(i)
         s1.append(sum_sq)
         s2.append(th_a * sum_a)

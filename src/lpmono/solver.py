@@ -57,8 +57,7 @@ from .grid import (
 from .operators import (
     HammersteinPair,
     MonotoneOp,
-    feasibility_violation,
-    vi_normal_cone_selection,
+    _box_selection,
 )
 from .schedule import ParamSchedule
 
@@ -238,7 +237,8 @@ def _iterate(
             raise TypeError(f"a {len(x1)}-component solve received a {len(t)}-component target")
         _check_grid(t, ctx.M, "target")
         nt = space.norm([lp_norm(f, r) for f, r in zip(t, space.exps)])
-        t = [f.values for f in t]
+        # a zero component pairs with the finite J x_{n+1} to exactly +/-0: skip it
+        t = [(i, f.values) for i, f in enumerate(t) if f.values.any()]
     w = trapezoid_weights(ctx.M)
     # per component: x_n and x_{n+1} (swapped each step), J x_n, A x_n and the dual vector, scratch
     x = [f.values.copy() for f in x1]
@@ -284,7 +284,7 @@ def _iterate(
         buf.extend(res)
         buf.append(norm)
         if target is not None:
-            tj = sum(weighted_sum(np.multiply(ti, ji, si), w, si) for ti, ji, si in zip(t, jx, s))
+            tj = sum(weighted_sum(np.multiply(ti, jx[i], s[i]), w, s[i]) for i, ti in t)
             buf.append(nt * nt - 2.0 * tj + norm * norm)
         buf.append(time.perf_counter() - t0)
         if callback is not None:
@@ -378,11 +378,12 @@ def solve_vi(
     """
 
     T = _array_op(T)
+    select = _box_selection(box, magnitude)
+    beta = np.empty(cfg.ctx.M + 1)
     feas = array("d")
 
     def op(x, out):  # the selection first: it rejects an infeasible x_n before T runs
-        feas.append(feasibility_violation(x[0], box))
-        beta = vi_normal_cone_selection(x[0], box, magnitude=magnitude)
+        feas.append(select(x[0], beta))
         return (np.add(T(x[0], out[0]), beta, out[0]),)
 
     x, trace = _iterate(_lp_space(cfg.ctx), op, (x1,), cfg, callback)

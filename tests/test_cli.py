@@ -259,6 +259,15 @@ class TestMainEntryPoint:
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == ["ladder-tol1e-03.csv", "ladder-tol1e-06.csv"]
 
+    def test_single_rung_ladder_names_its_tol(self, capsys, tmp_path):
+        # the 1e-3 rung's file name does not depend on which other rungs were asked for
+        out = tmp_path / "ladder.csv"
+        code = main(["run-example", "1", "--ladder", "--ladder-min-tol", "1e-3",
+                     "--out", str(out)])
+        assert code == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["ladder-tol1e-03.csv"]
+
     def test_ladder_min_tol_needs_ladder(self, capsys):
         with pytest.raises(ValueError, match="--ladder-min-tol has no effect without --ladder"):
             run_example(1, ladder_min_tol=1e-9)
@@ -281,6 +290,18 @@ class TestMainEntryPoint:
         assert code == 0
         capsys.readouterr()
         assert main(["vi", "--operator", "mult", "--box", "nonsense"]) == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["vi", "--operator", "mult", "--box=a,b"], "--box"),
+        (["vi", "--operator", "mult", "--box=-1,1,2"], "--box"),
+        (["zero", "--operator", "mult", "--init", "const:abc"], "--init"),
+        (["hammerstein", "--operator", "example", "--init-dual", "const:abc"], "--init-dual"),
+    ])
+    def test_conversion_error_names_the_flag(self, capsys, argv, flag):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"lpmono: error: {flag}")
 
     def test_hammerstein_subcommand(self, capsys):
         code = main(["hammerstein", "--operator", "example", "--tol", "1e-3"])

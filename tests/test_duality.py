@@ -21,9 +21,11 @@ from lpmono import (
     product_norm_dual,
     product_pairing,
     random_smooth,
+    trapezoid_weights,
     v_functional,
     xu_constants,
 )
+from lpmono.duality import duality_into
 
 
 class TestDualityMap:
@@ -60,6 +62,23 @@ class TestDualityMap:
         f = GridFunction.from_callable(lambda t: np.where(t < 0.5, 0.0, t), ctx.M)
         jf = duality_map(f, ctx)
         assert np.all(jf.values[f.values == 0.0] == 0.0)
+
+    @pytest.mark.parametrize("r", [1.1, 1.5, 2.0, 3.0])
+    def test_one_pass_sign_equals_formula(self, rng, r):
+        # norm^(2-r) |v|^(r-1) sign v, as it read before the sign was copied in one pass
+        v = rng.standard_normal(101) * 10.0 ** rng.uniform(-3.0, 3.0, 101)
+        v[rng.choice(101, 20, replace=False)] = 0.0
+        v[rng.choice(101, 20, replace=False)] = -0.0
+        norm = lp_norm(GridFunction(v), r)
+        expected = norm ** (2.0 - r) * np.abs(v) ** (r - 1.0) * np.sign(v)
+        w = trapezoid_weights(100)
+        out, scratch = np.empty_like(v), np.empty_like(v)
+        assert duality_into(v, r, w, out, scratch) == norm
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(v))  # -0.0 maps to -0.0
+        ctx = LpContext(p=r) if r <= 2.0 else LpContext(p=r / (r - 1.0))
+        jmap = duality_map if r <= 2.0 else duality_map_inverse
+        assert np.array_equal(jmap(GridFunction(v), ctx).values, expected)
 
 
 class TestDualityMapInverse:

@@ -17,7 +17,17 @@ import numpy as np
 import pytest
 
 import lpmono
-from lpmono import GridFunction, LpContext, SolveConfig, default_schedule, mult_op, solve_zero
+from lpmono import (
+    GridFunction,
+    LpContext,
+    ProductPoint,
+    SolveConfig,
+    default_schedule,
+    hammerstein_example,
+    mult_op,
+    solve_hammerstein,
+    solve_zero,
+)
 from lpmono.cli import example_config, execute, make_config
 
 COLUMNS = ("residual", "iterate_norm", "residual_dual", "phi_to_target")
@@ -68,6 +78,13 @@ GOLDEN = {
         "iterate_norm": "010ac246ab02d85e7074a33a7b433634a196ff13794a13c346b20efe8a81ee9b",
         "residual_dual": "6cac87478e5fd9b5a275fa1b81a764116dabac4a8dc77e3210f1577b96840cbb",
     }),
+    # target [u*, 0] with u* != 0 on X x X*: one component paired, one skipped
+    "hammerstein-partial-target": (157, {
+        "residual": "7c21c735485588bcc278e5dbae8bb43c1c2371a102fedc7131538611955b0bbf",
+        "iterate_norm": "e9d4b6ab84b0a59028f16d7c17c46bd7cf69234499b1358873b9657b28a9e3d1",
+        "residual_dual": "040bace4a29a11a6c9dafa13d5de96def508d4f4e1579d38e7114663ada6a926",
+        "phi_to_target": "478fdcdc5e828d13fab93e6babc50a2fba0b5eb43c66ee0f97618790d1a1a402",
+    }),
     "nonzero-target": (53, {
         "residual": "c9da75ea41dce6ba9e0f8c681f9f3cf6e960518856db412541ef8319cd0a0a7b",
         "iterate_norm": "0a2eda92eb376fedd0d537f51d450a463476aebc887a8927cb8fda7ffa4afaa5",
@@ -103,9 +120,15 @@ def run_trace(name, tmp_path):
         np.savetxt(path, np.exp(-np.abs(t[:, None] - t[None, :])), delimiter=",")
         config = make_config("hammerstein", f"kernel:{path}", init_dual="inv-tsin", tol=1e-9)
         return execute(config).trace
-    # solve_zero with a known non-zero target: the general phi path
     ctx = LpContext(p=1.5, M=100)
     target = GridFunction.from_callable(lambda t: 0.1 * np.cos(t), ctx.M)
+    if name == "hammerstein-partial-target":
+        cfg = SolveConfig(ctx=ctx, schedule=default_schedule(1.0), tol=1e-6,
+                          target=ProductPoint(target, GridFunction.zeros(ctx.M)))
+        u1 = GridFunction.from_callable(lambda t: 1.0 / (1.0 + t * t), ctx.M)
+        v1 = GridFunction.from_callable(lambda t: 1.0 / (1.0 + t * np.sin(t)), ctx.M)
+        return solve_hammerstein(hammerstein_example(), u1, v1, cfg)[2]
+    # solve_zero with a known non-zero target: the general phi path
     cfg = SolveConfig(ctx=ctx, schedule=default_schedule(1.0), tol=1e-6, target=target)
     x1 = GridFunction.from_callable(lambda t: 1.0 / (1.0 + t * t), ctx.M)
     return solve_zero(mult_op(), x1, cfg)[1]

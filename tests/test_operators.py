@@ -203,6 +203,19 @@ class TestNormalConeSelection:
         with pytest.raises(ValueError, match="magnitude"):
             vi_normal_cone_selection(x, (-1.0, 1.0), magnitude=-1.0)
 
+    def test_nodewise_bounds_match_the_masks(self, rng):
+        # bounds touched exactly at some nodes, as the selection and violation read when
+        # each was computed from its own masks and temporaries
+        lo, hi = -1.0 - rng.uniform(0.0, 1.0, 51), 1.0 + rng.uniform(0.0, 1.0, 51)
+        v = rng.uniform(-1.0, 1.0, 51)
+        v[:5], v[5:10], v[10] = lo[:5], hi[5:10], hi[10] + 1e-13
+        expected = np.zeros_like(v)
+        expected[v >= hi] = 0.5
+        expected[v <= lo] = -0.5
+        assert np.array_equal(vi_normal_cone_selection(v, (lo, hi), magnitude=0.5), expected)
+        violation = float(max(np.max(lo - v, initial=0.0), np.max(v - hi, initial=0.0), 0.0))
+        assert feasibility_violation(v, (lo, hi)) == violation > 0.0
+
     @pytest.mark.parametrize("magnitude", [float("nan"), float("inf")])
     def test_non_finite_magnitude_rejected(self, magnitude):
         with pytest.raises(ValueError, match="magnitude"):

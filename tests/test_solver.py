@@ -21,6 +21,7 @@ from lpmono import (
     default_schedule,
     duality_map,
     duality_map_inverse,
+    feasibility_violation,
     hammerstein_example,
     hammerstein_kernel_op,
     j_pseudo_from_monotone,
@@ -37,6 +38,7 @@ from lpmono import (
     solve_vi,
     solve_zero,
     solve_zero_hilbert,
+    vi_normal_cone_selection,
     zero_op,
 )
 
@@ -230,6 +232,32 @@ class TestHammerstein:
             solve_hammerstein(pair, GridFunction.zeros(50), GridFunction.zeros(50), config(ctx))
 
 
+class TestZeroTarget:
+    # phi(0, x) = ||x||^2: the engine skips pairing J x_{n+1} with a zero target
+    # component, and the column must not move by a bit
+
+    def same_bits(self, trace):
+        phi, norm = trace.columns["phi_to_target"], trace.columns["iterate_norm"]
+        assert phi.tobytes() == (norm * norm).tobytes()
+
+    def test_lp(self, ctx):
+        x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        cfg = config(ctx, tol=1e-9, target=GridFunction.zeros(ctx.M))
+        self.same_bits(solve_zero(mult_op(), x1, cfg)[1])
+
+    def test_hilbert(self):
+        ctx2 = LpContext(p=2.0, M=100)
+        cfg = config(ctx2, tol=1e-9, target=GridFunction.zeros(ctx2.M))
+        self.same_bits(solve_zero_hilbert(mult_op(), GridFunction.from_callable(INV_QUAD, 100), cfg)[1])
+
+    def test_product_space(self, ctx):
+        zero = GridFunction.zeros(ctx.M)
+        u1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        v1 = GridFunction.from_callable(lambda t: 1.0 / (1.0 + t * np.sin(t)), ctx.M)
+        cfg = config(ctx, tol=1e-9, target=ProductPoint(zero, zero))
+        self.same_bits(solve_hammerstein(hammerstein_example(), u1, v1, cfg)[2])
+
+
 class TestVariationalInequality:
     # Note: 1/(1+t^2) attains 1.0 exactly at t = 0, so a [-1, 1] box does
     # not strictly contain it; interior-behavior tests use [-2, 2].
@@ -271,6 +299,47 @@ class TestVariationalInequality:
         x1 = GridFunction.full(ctx.M, 2.0)
         with pytest.raises(InfeasiblePointError):
             solve_vi(mult_op(), (-1.0, 1.0), x1, config(ctx))
+
+    def test_box_converted_and_checked_once_per_solve(self, ctx):
+        class Bound:  # counts its conversions to an array
+            def __init__(self, value):
+                self.value, self.calls = value, 0
+
+            def __array__(self, dtype=None, copy=None):
+                self.calls += 1
+                return np.array(self.value, dtype=dtype)
+
+        box = (Bound(-2.0), Bound(2.0))
+        x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        _, trace = solve_vi(mult_op(), box, x1, config(ctx, tol=1e-3))
+        assert trace.nfe > 1
+        assert [b.calls for b in box] == [1, 1]
+        calls = []
+        T = MonotoneOp(lambda x: calls.append(None) or x)
+        with pytest.raises(ValueError, match="lo < hi"):
+            solve_vi(T, (1.0, -1.0), x1, config(ctx))
+        with pytest.raises(ValueError, match="magnitude"):
+            solve_vi(T, (-1.0, 1.0), x1, config(ctx), magnitude=-1.0)
+        assert calls == []
+
+    def test_active_bound_steps_use_the_selection(self, ctx):
+        # a nodewise box whose upper bound x1 touches at t = 0: each step adds
+        # vi_normal_cone_selection(x_n) to T x_n, and the column holds x_n's violation
+        x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        lo, hi = np.full(ctx.M + 1, -2.0), np.full(ctx.M + 1, 2.0)
+        hi[0] = 1.0
+        box = (lo, hi)
+        cfg = config(ctx, max_iter=3)
+        snaps = [x1] + iterates_of(lambda *a, callback: solve_vi(*a, callback=callback),
+                                   mult_op(), box, x1, steps=3, cfg=cfg)
+        _, trace = solve_vi(mult_op(), box, x1, cfg)
+        for x, feas in zip(snaps, trace.columns["feasibility_violation"]):
+            assert feas == feasibility_violation(x, box)
+        al, th = float(cfg.schedule.alpha(1)), float(cfg.schedule.theta(1))
+        dual = duality_map(x1, ctx) * (1.0 - al * th) - al * (mult_op()(x1) + vi_normal_cone_selection(x1, box))
+        expected = duality_map_inverse(dual, ctx)
+        assert np.max(np.abs(snaps[1].values - expected.values)) <= 1e-12
+        assert vi_normal_cone_selection(x1, box).values[0] == 1.0
 
     def test_solution_of_example_vi_is_zero(self, ctx):
         # (1+t)x = 0 has the feasible interior solution x = 0
