@@ -65,6 +65,11 @@ GOLDEN = {
         "residual": "b410a8bd0cc686560e4f7ddfae6eb96397cd7f05c3eebf3e50b340c104b24884",
         "iterate_norm": "c107190afebaa5f51a40aa9941f886b1544b8a27f82a51ade362b54e0f47745f",
     }),
+    # the L_p engine at p = 2 is the Hilbert recursion, bit for bit
+    "zero-p2": (546, {
+        "residual": "b410a8bd0cc686560e4f7ddfae6eb96397cd7f05c3eebf3e50b340c104b24884",
+        "iterate_norm": "c107190afebaa5f51a40aa9941f886b1544b8a27f82a51ade362b54e0f47745f",
+    }),
     "jfixed": (509, {
         "residual": "dae4333a0a7703704d729a57fa131d97a8cc54ce5e275b5d00b6117197b90f7c",
         "iterate_norm": "c22cdb9ef95a6c22e85471f5f1800a28dbd73003ee4ddf05ce3a92647aad6e10",
@@ -110,6 +115,8 @@ def run_trace(name, tmp_path):
         return execute(example_config(3, tol=1e-9)).trace
     if name == "hilbert":
         return execute(make_config("hilbert", "mult", p=2.0, tol=1e-9)).trace
+    if name == "zero-p2":
+        return execute(make_config("zero", "mult", p=2.0, tol=1e-9)).trace
     if name == "jfixed":
         return execute(make_config("jfixed", "mult-as-T", tol=1e-9)).trace
     if name == "vi":
