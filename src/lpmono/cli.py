@@ -177,9 +177,10 @@ def execute(config: dict) -> RunRecord:
         sub = norm_subgradient_op(ctx, config["subgrad_variant"])
         _, trace = solve_min(sub, x1, cfg)
     elif solver == "vi":
-        box = config["box"] if config["box"] is not None else [-1.0, 1.0]
+        if config["box"] is None:
+            raise ValueError("solver 'vi' needs --box for the bounds")
         _, trace = solve_vi(
-            _catalog_operator(operator), box, x1, cfg, magnitude=config["vi_magnitude"]
+            _catalog_operator(operator), config["box"], x1, cfg, magnitude=config["vi_magnitude"]
         )
     elif solver == "jfixed":
         if not operator.endswith("-as-T"):
@@ -311,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--operator", required=True)
         if name == "vi":
-            sp.add_argument("--box", default="-1,1", help="nodewise bounds lo,hi (use --box=-1,1)")
+            sp.add_argument("--box", default="-2,2", help="nodewise bounds lo,hi (use --box=-2,2)")
             sp.add_argument("--vi-magnitude", type=float)
         if name == "hammerstein":
             sp.add_argument("--init-dual", default="inv-tsin", help="dual-side starting point")

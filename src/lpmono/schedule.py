@@ -132,7 +132,7 @@ def _block_alpha_sums(schedule: ParamSchedule, a: int, b: int) -> tuple[float, f
     for start in range(a, b + 1, _CHUNK):
         j = np.arange(start, min(start + _CHUNK, b + 1), dtype=np.int64)
         al = np.asarray(schedule.alpha(j), dtype=float)
-        total_sq += float(np.dot(al, al))
+        total_sq += float(np.add.reduce(al * al))  # pairwise, as grid.weighted_sum
         total += float(np.sum(al))
     return total_sq, total
 

@@ -10,15 +10,16 @@ step along A, the theta term is a vanishing Tikhonov-style pull toward 0
 that selects the zero of minimal norm.  The iteration stops when
 ||x_n - x_{n-1}|| drops below the configured tolerance.
 
-One loop runs every solver.  It works on raw nodal arrays and is
-parametrized by the space it runs in: L_p, where J and J^{-1} are the p-
-and q-maps; a Hilbert space (p = 2), where both are the identity; and the
-product space E = X x X*, where J = [J_p, J_q].  The Hammerstein system
-u + KFu = 0 is the core recursion on E with A[u, v] = [Fu - v, Kv + u];
-minimization and variational inequalities run it with a subgradient
-selection, or T plus a normal-cone selection, as the operator.  The
-J-fixed-point form keeps its own (1 - alpha) grouping of the update so its
-reduction to the core recursion stays checkable as a test oracle.
+One loop runs every solver.  It works on raw nodal arrays in one of two
+spaces, read from the starting point's number of components: L_p, where
+J and J^{-1} are the p- and q-maps (at p = 2 both are the identity and
+the recursion is the Hilbert one), and the product space E = X x X*,
+where J = [J_p, J_q].  The Hammerstein system u + KFu = 0 is the core
+recursion on E with A[u, v] = [Fu - v, Kv + u]; minimization and
+variational inequalities run it with a subgradient selection, or T plus
+a normal-cone selection, as the operator.  The J-fixed-point form keeps
+its own (1 - alpha) grouping of the update so its reduction to the core
+recursion stays checkable as a test oracle.
 
 All solvers are deterministic: identical inputs reproduce identical
 iterate and residual sequences bit for bit (wall-clock columns aside).
@@ -163,28 +164,9 @@ class IterationTrace:
         )
 
 
-@dataclass(frozen=True)
-class _Space:
-    """The space the recursion runs in, one weighted-norm exponent per component.
-
-    Component i of an iterate has norm exponent ``exps[i]``, the matching
-    dual component ``dual_exps[i]``: J maps component i by the
-    exps[i]-duality map and J^{-1} by the dual_exps[i]-map.  In a Hilbert
-    space both maps are the identity.
-    """
-
-    exps: tuple[float, ...]
-    dual_exps: tuple[float, ...]
-    hilbert: bool = False
-
-    @staticmethod
-    def norm(ns: list[float]) -> float:
-        """||x|| from the component norms; on X x X*, (||u||_p^2 + ||v||_q^2)^(1/2)."""
-        return ns[0] if len(ns) == 1 else float(np.hypot(*ns))
-
-
-def _lp_space(ctx: LpContext) -> _Space:
-    return _Space((ctx.p,), (ctx.q,))
+def _norm(ns: list[float]) -> float:
+    """||x|| from the component norms; on X x X*, (||u||_p^2 + ||v||_q^2)^(1/2)."""
+    return ns[0] if len(ns) == 1 else float(np.hypot(*ns))
 
 
 # a step writes its dual-space vector into ``out``, which may be ax (tx); ``s`` is scratch
@@ -211,7 +193,6 @@ def _check_grid(points, M: int, what: str) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")  # once per solve; the norm check reports overflow
 def _iterate(
-    space: _Space,
     op: Callable,
     x1: tuple[GridFunction, ...],
     cfg: SolveConfig,
@@ -220,38 +201,39 @@ def _iterate(
 ) -> tuple:
     """The per-step loop behind every solver: stepping, stopping, tracing, guards.
 
-    ``x1`` holds the starting point's components.  ``op(x, out)`` returns
-    A x_n from the component arrays ``x``, one array per component, into
-    the buffers ``out`` or arrays of its own; ``step`` forms one dual-space
-    component.  The run stops once every component residual is below tol.
-    Each step appends its trace values to one buffer, which becomes the
-    trace's columns at the end.  Returns copies of the final components
+    ``x1`` holds the starting point's components: one in L_p, two on
+    X x X*, where component i has norm exponent (p, q)[i] and J^{-1} maps
+    it by the (q, p)[i]-duality map.  ``op(x, out)`` returns A x_n from
+    the component arrays ``x``, one array per component, into the buffers
+    ``out`` or arrays of its own; ``step`` forms one dual-space component.
+    The run stops once every component residual is below tol.  Each step
+    appends its trace values to one buffer per column, which becomes the
+    trace's column at the end.  Returns copies of the final components
     followed by the trace.
     """
     ctx = cfg.ctx
     _check_grid(x1, ctx.M, "initial point")
+    exps = (ctx.p, ctx.q)[: len(x1)]
     target = cfg.target
     if target is not None:
         t = (target.u, target.v) if isinstance(target, ProductPoint) else (target,)
         if len(t) != len(x1):
             raise TypeError(f"a {len(x1)}-component solve received a {len(t)}-component target")
         _check_grid(t, ctx.M, "target")
-        nt = space.norm([lp_norm(f, r) for f, r in zip(t, space.exps)])
+        nt = _norm([lp_norm(f, r) for f, r in zip(t, exps)])
         # a zero component pairs with the finite J x_{n+1} to exactly +/-0: skip it
         t = [(i, f.values) for i, f in enumerate(t) if f.values.any()]
     w = trapezoid_weights(ctx.M)
     # per component: x_n and x_{n+1} (swapped each step), J x_n, A x_n and the dual vector, scratch
     x = [f.values.copy() for f in x1]
     xn, jx, ax, s = ([np.empty_like(v) for v in x] for _ in range(4))
-    comps = list(zip(range(len(x)), space.exps, space.dual_exps))
-    if space.hilbert:
-        jx = x  # J is the identity
-    else:
-        for i, r, _ in comps:
-            duality_into(x[i], r, w, jx[i], s[i])
     names = ("residual", "residual_dual")[: len(x)] + ("iterate_norm",)
     names += ("phi_to_target",) * (target is not None) + ("elapsed",)
-    buf = array("d")
+    cols = {k: array("d") for k in names}  # one buffer per trace column
+    # per component: index, norm exponent, J^{-1} exponent, residual column
+    comps = list(zip(range(len(x)), exps, (ctx.q, ctx.p), names))
+    for i, r, _, _ in comps:
+        duality_into(x[i], r, w, jx[i], s[i])
     converged = False
     t0 = time.perf_counter()
     for n, a, th in cfg.schedule.steps(cfg.max_iter):
@@ -260,16 +242,13 @@ def _iterate(
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
         res, norms = [], []
-        for i, r, rd in comps:
-            step(jx[i], y[i], a, th, xn[i] if space.hilbert else ax[i], s[i])
-            if not space.hilbert:
-                duality_into(ax[i], rd, w, xn[i], s[i])
+        for i, r, rd, k in comps:
+            step(jx[i], y[i], a, th, ax[i], s[i])
+            duality_into(ax[i], rd, w, xn[i], s[i])
             res.append(abs_norm(np.abs(np.subtract(xn[i], x[i], s[i]), s[i]), r, w, s[i]))
-            norms.append(
-                abs_norm(np.abs(xn[i], s[i]), r, w, s[i]) if space.hilbert
-                else duality_into(xn[i], r, w, jx[i], s[i])
-            )
-        norm = space.norm(norms)
+            cols[k].append(res[i])
+            norms.append(duality_into(xn[i], r, w, jx[i], s[i]))
+        norm = _norm(norms)
         # a NaN or inf node makes its component norm non-finite
         if not norm <= cfg.divergence_guard:
             if not all(np.isfinite(v).all() for v in xn):
@@ -279,21 +258,19 @@ def _iterate(
                 f"at step {n}; check the schedule/operator pairing"
             )
         x, xn = xn, x
-        if space.hilbert:
-            jx = x
-        buf.extend(res)
-        buf.append(norm)
+        cols["iterate_norm"].append(norm)
         if target is not None:
             tj = sum(weighted_sum(np.multiply(ti, jx[i], s[i]), w, s[i]) for i, ti in t)
-            buf.append(nt * nt - 2.0 * tj + norm * norm)
-        buf.append(time.perf_counter() - t0)
+            cols["phi_to_target"].append(nt * nt - 2.0 * tj + norm * norm)
+        cols["elapsed"].append(time.perf_counter() - t0)
         if callback is not None:
             callback(n + 1, *(GridFunction(v) for v in x))
         if max(res) < cfg.tol:
             converged = True
             break
-    table = np.frombuffer(buf).reshape(-1, len(names))
-    columns = {k: table[:, j].copy() for j, k in enumerate(names)}  # each owns its data
+    # each column copies its buffer, which is freed as it is popped: the
+    # trace peaks at one buffer above its retained size, not twice it
+    columns = {k: np.array(cols.pop(k)) for k in names}
     return (*(GridFunction(v) for v in x), IterationTrace(columns, converged, cfg.tol))
 
 
@@ -324,7 +301,7 @@ def solve_zero(
         Final iterate and the full per-step trace.
     """
     A = _array_op(A)
-    return _iterate(_lp_space(cfg.ctx), lambda x, out: (A(x[0], out[0]),), (x1,), cfg, callback)
+    return _iterate(lambda x, out: (A(x[0], out[0]),), (x1,), cfg, callback)
 
 
 def solve_zero_hilbert(
@@ -335,14 +312,12 @@ def solve_zero_hilbert(
 ) -> tuple[GridFunction, IterationTrace]:
     """The J-free form x_{n+1} = x_n - alpha_n A x_n - alpha_n theta_n x_n.
 
-    Valid only at p = 2, where the duality map is the identity; agrees
-    with :func:`solve_zero` there to roundoff.
+    Valid only at p = 2, where the duality map is the identity, so this
+    is the core recursion at p = 2 and runs :func:`solve_zero`.
     """
     if cfg.ctx.p != 2.0:
         raise ValueError(f"the Hilbert recursion requires p = 2, got p = {cfg.ctx.p}")
-    A = _array_op(A)
-    space = _Space((2.0,), (2.0,), hilbert=True)
-    return _iterate(space, lambda x, out: (A(x[0], out[0]),), (x1,), cfg, callback)
+    return solve_zero(A, x1, cfg, callback)
 
 
 def solve_min(
@@ -386,7 +361,7 @@ def solve_vi(
         feas.append(select(x[0], beta))
         return (np.add(T(x[0], out[0]), beta, out[0]),)
 
-    x, trace = _iterate(_lp_space(cfg.ctx), op, (x1,), cfg, callback)
+    x, trace = _iterate(op, (x1,), cfg, callback)
     return x, replace(trace, columns={**trace.columns, "feasibility_violation": np.array(feas)})
 
 
@@ -405,10 +380,7 @@ def solve_jfixed(
     (1 - alpha) grouping instead of delegating.
     """
     T = _array_op(T)
-    return _iterate(
-        _lp_space(cfg.ctx), lambda x, out: (T(x[0], out[0]),), (x1,), cfg, callback,
-        step=_jfixed_step,
-    )
+    return _iterate(lambda x, out: (T(x[0], out[0]),), (x1,), cfg, callback, step=_jfixed_step)
 
 
 def solve_hammerstein(
@@ -429,15 +401,13 @@ def solve_hammerstein(
     when a product-space target is declared, the product Lyapunov
     distance to it.  The callback is invoked as callback(n, u_n, v_n).
     """
-    ctx = cfg.ctx
     F, K = _array_op(pair.F), _array_op(pair.K)
 
     def op(x, out):
         u, v = x
         return np.subtract(F(u, out[0]), v, out[0]), np.add(K(v, out[1]), u, out[1])
 
-    space = _Space((ctx.p, ctx.q), (ctx.q, ctx.p))
-    return _iterate(space, op, (u1, v1), cfg, callback)
+    return _iterate(op, (u1, v1), cfg, callback)
 
 
 def regularization_path_residual(

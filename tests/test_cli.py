@@ -130,6 +130,10 @@ class TestConfigDispatch:
         with pytest.raises(ValueError, match="init-dual"):
             execute(make_config(solver="hammerstein", operator="example"))
 
+    def test_vi_requires_box(self):
+        with pytest.raises(ValueError, match="--box"):
+            execute(make_config(solver="vi", operator="mult"))
+
     def test_hammerstein_kernel_file(self, tmp_path):
         t = np.linspace(0.0, 1.0, 101)
         path = tmp_path / "kernel.csv"
@@ -195,6 +199,11 @@ class TestMainEntryPoint:
         assert meta["converged"] is True
         assert meta["nfe"] >= 1
         assert meta["solver"] == "zero"
+
+    def test_vi_defaults_run(self, capsys):
+        # the default box holds the default start inside it
+        assert main(["vi", "--operator", "mult"]) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["converged"]
 
     def test_max_iter_exits_two(self, capsys):
         code = main(["run-example", "1", "--max-iter", "3"])
@@ -401,7 +410,7 @@ SUBCOMMANDS = {
             ["--operator", "norm-subgrad", "--subgrad-variant", "duality"],
             {"subgrad_variant": "duality"}),
     "vi": (["vi", "--operator", "mult"],
-           lambda **kw: make_config("vi", "mult", **{"box": (-1.0, 1.0), **kw}),
+           lambda **kw: make_config("vi", "mult", **{"box": (-2.0, 2.0), **kw}),
            ["--box=-2,3", "--vi-magnitude", "0.5"], {"box": (-2.0, 3.0), "vi_magnitude": 0.5}),
     "jfixed": (["jfixed", "--operator", "mult-as-T"],
                lambda **kw: make_config("jfixed", "mult-as-T", **kw), [], {}),

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+import lpmono.schedule
 from lpmono import export_csv, export_json, export_loglog
 from lpmono.cli import example_config, execute, make_config
 from lpmono.io import CSV_HEADER
@@ -204,3 +205,19 @@ def test_record_retains_few_bytes_per_step():
         tracemalloc.stop()
     assert rec.trace.nfe == 5482
     assert retained / rec.trace.nfe <= 48
+
+
+def test_trace_peaks_little_above_its_columns(monkeypatch):
+    # 5000 unconverged steps of example 2 keep 4 columns of 32 B/step; copying
+    # them out of one buffer that is still held would peak at twice that.
+    # Short schedule chunks keep the chunk's Python floats out of the figure.
+    monkeypatch.setattr(lpmono.schedule, "_STEP_CHUNK", 256)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec = execute(example_config(2, tol=1e-9, max_iter=5000))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rec.trace.nfe == 5000 and not rec.trace.converged
+    assert peak / rec.trace.nfe <= 48

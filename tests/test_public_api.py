@@ -24,3 +24,11 @@ def test_trace_row_importable_but_not_listed():
 
     assert TraceRow.__module__ == "lpmono.solver"
     assert "TraceRow" not in lpmono.__all__
+
+
+def test_identity_op_importable_but_not_listed():
+    from lpmono.operators import identity_op
+
+    assert identity_op.__module__ == "lpmono.operators"
+    assert "identity_op" not in lpmono.__all__
+    assert not hasattr(lpmono, "identity_op")

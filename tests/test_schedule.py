@@ -3,11 +3,16 @@ block statistics with brute-force oracles."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpmono
 from lpmono import ParamSchedule, check_acceptably_paired, default_schedule
 
 
@@ -164,3 +169,26 @@ class TestCheckAcceptablyPaired:
     def test_full_range_from_one(self):
         report = check_acceptably_paired(default_schedule(1.0), 4, i_min=1)
         assert report.i_values == (1, 2, 3, 4)
+
+
+S1_HEX = """
+import sys
+from lpmono import check_acceptably_paired, default_schedule
+report = check_acceptably_paired(default_schedule(1.0), 5)
+sys.stdout.write(" ".join(s.hex() for s in report.s1))
+"""
+
+
+def test_pairing_independent_of_blas_threads():
+    # block 5 sums alpha_j^2 over j = 5^5..6^6; a BLAS dot sums in an order set by its threads
+    src = str(Path(lpmono.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", S1_HEX], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        outs.append(proc.stdout)
+    assert len(outs[0].split()) == 4  # i = 2..5
+    assert outs[0] == outs[1]
