@@ -29,6 +29,7 @@ from .duality import ProductPoint
 from .grid import GridFunction, LpContext
 from .io import RunRecord, export_csv, export_json, export_loglog, summarize
 from .operators import (
+    SUBGRADIENT_VARIANTS,
     HammersteinPair,
     hammerstein_example,
     hammerstein_kernel_op,
@@ -304,11 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"run the generic '{name}' solver")
         if name == "min":
             sp.add_argument("--operator", default="norm-subgrad")
-            sp.add_argument(
-                "--subgrad-variant",
-                choices=("literal", "duality"),
-                help="subgradient selection for the p-norm",
-            )
+            sp.add_argument("--subgrad-variant", choices=SUBGRADIENT_VARIANTS,
+                            help="subgradient selection for the p-norm")
         else:
             sp.add_argument("--operator", required=True)
         if name == "vi":

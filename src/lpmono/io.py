@@ -15,6 +15,7 @@ from itertools import count, repeat
 from .solver import IterationTrace
 
 CSV_HEADER = "n,residual_p,residual_q,iterate_norm,phi_to_target,elapsed_s,feasibility_violation"
+_CSV_ROW = ",".join("{}" for _ in CSV_HEADER.split(",")) + "\n"
 
 
 @dataclass
@@ -41,27 +42,24 @@ def summarize(trace: IterationTrace) -> dict:
     return out
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(x, ".17g")
-
-
 def export_csv(rec: RunRecord, path) -> None:
     """Write the trace as CSV with the summary in '#' footer lines.
 
     Columns: n, residual_p, residual_q, iterate_norm, phi_to_target,
     elapsed_s, feasibility_violation; residual_q, phi_to_target and
     feasibility_violation stay blank when the run does not define them.
+    Each column is formatted from its float64 array as the rows stream out.
     """
     names = ("residual", "residual_dual", "iterate_norm", "phi_to_target", "elapsed",
              "feasibility_violation")
     cols = rec.trace.columns
-    fields = [memoryview(cols[k]) if k in cols else repeat(None) for k in names]  # Python floats
+    fields = [map(format, memoryview(cols[k]), repeat(".17g")) if k in cols else repeat("")
+              for k in names]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for n, *row in zip(count(2), *fields):
-            fh.write(",".join((str(n), *map(_fmt, row))) + "\n")
+        fh.writelines(map(_CSV_ROW.format, count(2), *fields))
         for key, value in rec.summary.items():
-            fh.write(f"# {key} = {_fmt(value) if isinstance(value, float) else value}\n")
+            fh.write(f"# {key} = {format(value, '.17g') if isinstance(value, float) else value}\n")
 
 
 def export_loglog(rec: RunRecord, path) -> int:

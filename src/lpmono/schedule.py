@@ -45,10 +45,11 @@ class ParamSchedule:
     meta: dict = field(default_factory=dict)
 
     def steps(self, count: int):
-        """(n, alpha_n, theta_n) for n = 1..count, evaluated in array chunks."""
+        """(n, alpha_n, theta_n) for n = 1..count, read from array chunks of alpha and theta."""
         for start in range(1, count + 1, _STEP_CHUNK):
-            n = np.arange(start, min(start + _STEP_CHUNK, count + 1))
-            yield from zip(n.tolist(), self.alpha(n).tolist(), self.theta(n).tolist())
+            stop = min(start + _STEP_CHUNK, count + 1)
+            n = np.arange(start, stop)
+            yield from zip(range(start, stop), memoryview(self.alpha(n)), memoryview(self.theta(n)))
 
 
 def default_schedule(

@@ -134,6 +134,14 @@ class TestConfigDispatch:
         with pytest.raises(ValueError, match="--box"):
             execute(make_config(solver="vi", operator="mult"))
 
+    def test_unknown_target(self):
+        with pytest.raises(ValueError, match="unknown target 'ones'"):
+            execute(example_config(1, target="ones"))
+
+    def test_hammerstein_unknown_operator(self):
+        with pytest.raises(ValueError, match="expects operator 'example' or 'kernel:<csv>'"):
+            execute(make_config(solver="hammerstein", operator="banana", init_dual="inv-tsin"))
+
     def test_hammerstein_kernel_file(self, tmp_path):
         t = np.linspace(0.0, 1.0, 101)
         path = tmp_path / "kernel.csv"
@@ -311,6 +319,11 @@ class TestMainEntryPoint:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"lpmono: error: {flag}")
+
+    def test_unknown_subgradient_variant_lists_the_variants(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["min", "--subgrad-variant", "hilbert"])
+        assert "(choose from 'literal', 'duality')" in capsys.readouterr().err
 
     def test_hammerstein_subcommand(self, capsys):
         code = main(["hammerstein", "--operator", "example", "--tol", "1e-3"])

@@ -143,6 +143,11 @@ class TestGridFunction:
         f = GridFunction.from_callable(lambda t: math.sin(t), 10)
         assert f.values[3] == pytest.approx(math.sin(0.3))
 
+    def test_from_callable_wrong_shape_sampled_per_node(self):
+        # the array call returns one scalar, not M+1 values
+        f = GridFunction.from_callable(lambda t: 2.0, 10)
+        assert np.array_equal(f.values, np.full(11, 2.0))
+
     def test_nodes_and_m(self):
         f = GridFunction.zeros(4)
         assert f.M == 4

@@ -207,6 +207,20 @@ def test_record_retains_few_bytes_per_step():
     assert retained / rec.trace.nfe <= 48
 
 
+def test_schedule_chunks_stream_from_their_arrays():
+    # at the default 4096-step chunk the step source reads alpha and theta
+    # from their arrays; a chunk held as Python float lists peaks near 120 B/step
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rec = execute(example_config(1, tol=1e-12))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rec.trace.nfe == 5482
+    assert peak / rec.trace.nfe <= 90
+
+
 def test_trace_peaks_little_above_its_columns(monkeypatch):
     # 5000 unconverged steps of example 2 keep 4 columns of 32 B/step; copying
     # them out of one buffer that is still held would peak at twice that.

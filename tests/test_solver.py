@@ -385,6 +385,13 @@ class TestGuards:
         with pytest.raises(NonFiniteIterateError, match="step"):
             solve_zero(huge, x1, config(ctx))
 
+    def test_non_finite_grid_function_result(self, ctx):
+        # a map of grid functions cannot return inf values: their
+        # construction fails, and the engine names the step
+        A = MonotoneOp(lambda x: x * math.inf, name="inf")
+        with pytest.raises(NonFiniteIterateError, match="iterate became non-finite at step 1$"):
+            solve_zero(A, GridFunction.from_callable(INV_QUAD, ctx.M), config(ctx))
+
     def test_overflow_raises_without_warnings(self, ctx):
         # the public maps and the engine each ignore overflow, which the
         # non-finite checks report as errors instead
