@@ -98,6 +98,8 @@ def kernel_hammerstein(k):
 CASES = {
     "zero-example-1": lambda k: execute(example_config(1, max_iter=k, **UNSTOPPED)),
     "min-example-2": lambda k: execute(example_config(2, max_iter=k, **UNSTOPPED)),
+    "min-duality": lambda k: execute(
+        make_config("min", "norm-subgrad", subgrad_variant="duality", max_iter=k, **UNSTOPPED)),
     "hammerstein-example-3": lambda k: execute(example_config(3, max_iter=k, **UNSTOPPED)),
     "hilbert": lambda k: execute(make_config("hilbert", "mult", p=2.0, max_iter=k, **UNSTOPPED)),
     "vi-box": lambda k: execute(
@@ -114,6 +116,10 @@ PER_STEP = {
     "min-example-2": (29, {
         "abs": 4, "add.reduce": 4, "copysign": 2, "divide": 1, "errstate": 1, "multiply": 8,
         "power": 6, "subtract": 3}),
+    # the duality variant evaluates J into a new array under its own errstate, and the norm twice
+    "min-duality": (39, {
+        "abs": 5, "add.reduce": 5, "copysign": 3, "divide": 1, "empty_like": 2, "errstate": 2,
+        "multiply": 10, "power": 8, "subtract": 3}),
     # X x X*: twice the L_p step, plus the operator's coupling and the product norm
     "hammerstein-example-3": (50, {
         "abs": 6, "add": 1, "add.reduce": 6, "copysign": 4, "hypot": 1, "multiply": 15,
