@@ -50,12 +50,12 @@ def duality_into(v: np.ndarray, r: float, w: np.ndarray, out: np.ndarray, scratc
     return norm
 
 
-def duality_values(v: np.ndarray, r: float) -> np.ndarray:
-    """The r-duality map of nodal values ``v`` as a new array (overflow gives inf or nan)."""
+def duality_values(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
+    """The r-duality map of nodal values ``v`` as a new array, and ||v||_r (overflow gives inf or nan)."""
     out = np.empty_like(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        duality_into(v, r, trapezoid_weights(v.size - 1), out, np.empty_like(v))
-    return out
+        norm = duality_into(v, r, trapezoid_weights(v.size - 1), out, np.empty_like(v))
+    return out, norm
 
 
 def duality_map(f: GridFunction, ctx: LpContext) -> GridFunction:
@@ -65,7 +65,7 @@ def duality_map(f: GridFunction, ctx: LpContext) -> GridFunction:
     arrangement satisfying <f, Jf> = ||f||_p^2 and ||Jf||_q = ||f||_p.
     Zero maps to zero.  Overflow surfaces as NonFiniteValuesError.
     """
-    return GridFunction(duality_values(f.values, ctx.p))
+    return GridFunction(duality_values(f.values, ctx.p)[0])
 
 
 def duality_map_inverse(g: GridFunction, ctx: LpContext) -> GridFunction:
@@ -74,7 +74,7 @@ def duality_map_inverse(g: GridFunction, ctx: LpContext) -> GridFunction:
     Evaluates (J^{-1}g)(t) = ||g||_q^{2-q} |g(t)|^{q-1} sign g(t); this is
     also the duality map of L_q viewed as a primal space.
     """
-    return GridFunction(duality_values(g.values, ctx.q))
+    return GridFunction(duality_values(g.values, ctx.q)[0])
 
 
 def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
@@ -86,10 +86,8 @@ def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
     """
     x._check_grid(y)
     nx = lp_norm(x, ctx.p)
-    w, jy = trapezoid_weights(y.M), np.empty_like(y.values)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ny = duality_into(y.values, ctx.p, w, jy, np.empty_like(jy))
-    return nx * nx - 2.0 * weighted_sum(x.values * jy, w) + ny * ny
+    jy, ny = duality_values(y.values, ctx.p)
+    return nx * nx - 2.0 * weighted_sum(x.values * jy, trapezoid_weights(y.M)) + ny * ny
 
 
 def v_functional(x: GridFunction, xstar: GridFunction, ctx: LpContext) -> float:
@@ -125,8 +123,6 @@ def xu_constants(p: float) -> XuConstants:
     f_lo, f_hi = _tp_equation(lo, p), _tp_equation(hi, p)
     if abs(f_hi) <= _XU_RESIDUAL_TOL:
         t_p = hi
-    elif abs(f_lo) <= _XU_RESIDUAL_TOL:
-        t_p = lo
     elif f_lo * f_hi > 0.0:
         raise NoRootError(
             f"t_p equation has no sign change on (0, 1] for p = {p}; "
@@ -139,7 +135,7 @@ def xu_constants(p: float) -> XuConstants:
             if abs(f_mid) <= _XU_RESIDUAL_TOL or hi - lo < 4.0 * np.finfo(float).eps * mid:
                 break
             if f_lo * f_mid <= 0.0:
-                hi, f_hi = mid, f_mid
+                hi = mid
             else:
                 lo, f_lo = mid, f_mid
         t_p = 0.5 * (lo + hi)

@@ -140,8 +140,8 @@ class LpContext:
     def __post_init__(self) -> None:
         if not 1.0 < self.p <= 2.0:
             raise ValueError(f"p must lie in (1, 2], got {self.p}")
-        if int(self.M) != self.M or self.M < 2:
-            raise ValueError(f"M must be an integer >= 2, got {self.M}")
+        if not isinstance(self.M, (int, np.integer)) or self.M < 2:
+            raise ValueError(f"M must be an integer >= 2, got {self.M!r}")
 
     @property
     def q(self) -> float:

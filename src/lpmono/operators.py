@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .duality import ProductPoint, duality_values
+from .duality import ProductPoint, duality_into
 from .grid import GridFunction, LpContext, abs_norm, nodes, pairing, random_smooth, trapezoid_weights
 
 SUBGRADIENT_VARIANTS = ("literal", "duality")
@@ -49,7 +49,8 @@ class MonotoneOp:
         if self.kernel is None:  # a map of grid functions, also on nodal values
             return self.fn(x) if isinstance(x, GridFunction) else self.fn(GridFunction(x)).values
         if isinstance(x, GridFunction):
-            return GridFunction(self.kernel(x.values, np.empty_like(x.values)))
+            with np.errstate(over="ignore", invalid="ignore"):  # as lp_norm; arrays keep the caller's
+                return GridFunction(self.kernel(x.values, np.empty_like(x.values)))
         return self.kernel(x, np.empty_like(x) if out is None else out)
 
 
@@ -120,11 +121,11 @@ def norm_subgradient_op(ctx: LpContext, variant: str = "literal") -> MonotoneOp:
         raise ValueError(f"unknown subgradient variant {variant!r}")
 
     def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # as lp_norm: an overflowing norm reads inf
+        if variant == "literal":
             norm = abs_norm(np.abs(v, out), ctx.p, trapezoid_weights(v.size - 1), out)
-        if norm == 0.0:
-            return _zeros(v, out)
-        return np.divide(v if variant == "literal" else duality_values(v, ctx.p), norm, out)
+            return _zeros(v, out) if norm == 0.0 else np.divide(v, norm, out)
+        norm = duality_into(v, ctx.p, trapezoid_weights(v.size - 1), out, np.empty_like(v))
+        return out if norm == 0.0 else np.divide(out, norm, out)
 
     return MonotoneOp(kernel=kernel, name=f"norm-subgrad[{variant}]")
 
@@ -249,6 +250,8 @@ def j_pseudo_from_monotone(A: MonotoneOp, ctx: LpContext) -> MonotoneOp:
     """
 
     def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return np.subtract(duality_values(v, ctx.p), A(v), out)
+        s = np.empty_like(v)
+        duality_into(v, ctx.p, trapezoid_weights(v.size - 1), out, s)
+        return np.subtract(out, A(v, s), out)
 
     return MonotoneOp(kernel=kernel, name=f"J-minus-{A.name}")

@@ -174,3 +174,8 @@ class TestLpContext:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             LpContext(p=1.5, M=1)
+
+    def test_float_m_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            LpContext(1.5, 100.0)
+        assert LpContext(1.5, np.int64(100)).M == 100

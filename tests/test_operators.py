@@ -1,6 +1,8 @@
 """Operator catalog: pointwise behavior, sampled monotonicity, normal-cone
 selections, and the monotone <-> J-pseudocontractive passage."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lpmono import (
     GridFunction,
     InfeasiblePointError,
     LpContext,
+    NonFiniteValuesError,
     ProductPoint,
     duality_map,
     feasibility_violation,
@@ -26,6 +29,31 @@ from lpmono import (
     vi_normal_cone_selection,
     zero_op,
 )
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal bit for bit, so that -0.0 and +0.0 differ."""
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def kernel_inputs(rng, M: int) -> list[GridFunction]:
+    """50 seeded smooth functions and one with a -0.0 node."""
+    xs = [random_smooth(rng, M, scale=3.0) for _ in range(50)]
+    signed_zero = xs[0].values.copy()
+    signed_zero[7] = -0.0
+    return xs + [GridFunction(signed_zero)]
+
+
+def test_overflowing_input_warns_nothing(ctx):
+    # a kernel on a GridFunction sets its own error state; overflow shows as a value, not a warning
+    x = GridFunction.full(ctx.M, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(norm_subgradient_op(ctx, "literal")(x).values == 0.0)
+        with pytest.raises(NonFiniteValuesError):
+            norm_subgradient_op(ctx, "duality")(x)
+        with pytest.raises(NonFiniteValuesError):
+            j_pseudo_from_monotone(mult_op(), ctx)(x)
 
 
 class TestMultOp:
@@ -66,6 +94,13 @@ class TestNormSubgradient:
             g = norm_subgradient_op(ctx, "duality")(x)
             assert pairing(x, g) == pytest.approx(lp_norm(x, ctx.p), rel=1e-8)
             assert lp_norm(g, ctx.q) == pytest.approx(1.0, rel=1e-10)
+
+    def test_duality_variant_is_j_over_norm_bitwise(self, rng, ctx):
+        op = norm_subgradient_op(ctx, "duality")
+        for x in kernel_inputs(rng, ctx.M):
+            assert same_bits(op(x).values, duality_map(x, ctx).values / lp_norm(x, ctx.p))
+        zero = op(GridFunction.zeros(ctx.M)).values
+        assert same_bits(zero, np.zeros(ctx.M + 1))  # +0.0, not -0.0
 
     def test_unknown_variant(self, ctx):
         with pytest.raises(ValueError, match="variant"):
@@ -241,6 +276,12 @@ class TestJPseudoFromMonotone:
             x = random_smooth(rng, ctx.M, scale=3.0)
             recovered = duality_map(x, ctx) - T(x)
             assert np.allclose(recovered.values, A(x).values, rtol=1e-12, atol=1e-14)
+
+    def test_equals_j_minus_a_bitwise(self, rng, ctx):
+        A = mult_op()
+        T = j_pseudo_from_monotone(A, ctx)
+        for x in kernel_inputs(rng, ctx.M) + [GridFunction.zeros(ctx.M)]:
+            assert same_bits(T(x).values, duality_map(x, ctx).values - A(x).values)
 
     def test_j_pseudocontractivity_sampled(self, rng, ctx):
         T = j_pseudo_from_monotone(mult_op(), ctx)

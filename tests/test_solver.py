@@ -447,6 +447,11 @@ class TestGuards:
         with pytest.raises(ValueError):
             config(ctx, max_iter=0)
 
+    def test_float_max_iter_rejected_at_construction(self, ctx):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            config(ctx, max_iter=1e3)
+        assert config(ctx, max_iter=np.int64(10)).max_iter == 10
+
     @pytest.mark.parametrize("field", ["tol", "divergence_guard"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
     def test_non_finite_or_non_positive_config_rejected(self, ctx, field, value):
