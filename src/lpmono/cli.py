@@ -39,15 +39,7 @@ from .operators import (
     zero_op,
 )
 from .schedule import default_schedule
-from .solver import (
-    SolveConfig,
-    solve_hammerstein,
-    solve_jfixed,
-    solve_min,
-    solve_vi,
-    solve_zero,
-    solve_zero_hilbert,
-)
+from .solver import SolveConfig, solve_hammerstein, solve_jfixed, solve_vi, solve_zero
 
 _PRESET_RULES = {
     "inv-quad": lambda t: 1.0 / (1.0 + t * t),
@@ -60,6 +52,15 @@ _PRESET_RULES = {
 }
 
 SOLVERS = ("zero", "hilbert", "hammerstein", "min", "vi", "jfixed")
+
+_CATALOG = {"mult": mult_op, "zero-op": zero_op}
+
+# each example's fields over init="inv-quad" and target="zero"
+_EXAMPLES = {
+    1: dict(solver="zero", operator="mult"),
+    2: dict(solver="min", operator="norm-subgrad", tol=1e-2),
+    3: dict(solver="hammerstein", operator="example", init_dual="inv-tsin"),
+}
 
 EXAMPLE_LADDERS = {
     1: (1e-3, 1e-6, 1e-9, 1e-12, 1e-15),
@@ -101,7 +102,7 @@ def make_config(
     operator: str,
     init: str = "inv-quad",
     init_dual: str | None = None,
-    p: float = 1.5,
+    p: float | None = None,  # 2 for hilbert, 3/2 otherwise
     grid: int = 100,
     tol: float = 1e-6,
     max_iter: int = 1_000_000,
@@ -117,6 +118,8 @@ def make_config(
     """Assemble the JSON-able run description consumed by :func:`execute`."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    if p is None:
+        p = 2.0 if solver == "hilbert" else 1.5
     return {
         "solver": solver,
         "operator": operator,
@@ -138,11 +141,9 @@ def make_config(
 
 
 def _catalog_operator(name: str):
-    if name == "mult":
-        return mult_op()
-    if name == "zero-op":
-        return zero_op()
-    raise ValueError(f"unknown operator {name!r}; catalog: mult, zero-op")
+    if name not in _CATALOG:
+        raise ValueError(f"unknown operator {name!r}; catalog: {', '.join(_CATALOG)}")
+    return _CATALOG[name]()
 
 
 def execute(config: dict) -> RunRecord:
@@ -163,20 +164,18 @@ def execute(config: dict) -> RunRecord:
     cfg = SolveConfig(ctx=ctx, schedule=sched, tol=config["tol"], max_iter=config["max_iter"],
                       divergence_guard=config["divergence_guard"], target=target)
 
-    if solver == "zero":
-        _, trace = solve_zero(_catalog_operator(operator), x1, cfg)
-    elif solver == "hilbert":
-        if ctx.p != 2.0:
-            raise ValueError("solver 'hilbert' requires --p 2")
-        _, trace = solve_zero_hilbert(_catalog_operator(operator), x1, cfg)
-    elif solver == "min":
+    # zero, hilbert and min are the core recursion with their own A
+    if solver == "hilbert" and ctx.p != 2.0:
+        raise ValueError("solver 'hilbert' requires --p 2")
+    if solver == "min":
         if operator != "norm-subgrad":
             raise ValueError(
                 "solver 'min' expects operator 'norm-subgrad' "
                 "(a subgradient selection, chosen via --subgrad-variant)"
             )
-        sub = norm_subgradient_op(ctx, config["subgrad_variant"])
-        _, trace = solve_min(sub, x1, cfg)
+        _, trace = solve_zero(norm_subgradient_op(ctx, config["subgrad_variant"]), x1, cfg)
+    elif solver in ("zero", "hilbert"):
+        _, trace = solve_zero(_catalog_operator(operator), x1, cfg)
     elif solver == "vi":
         if config["box"] is None:
             raise ValueError("solver 'vi' needs --box for the bounds")
@@ -223,17 +222,9 @@ def execute_many(configs: list[dict]) -> list[RunRecord]:
 
 def example_config(which: int, **overrides) -> dict:
     """Config for one bundled example; overrides replace any field."""
-    if which == 1:
-        base = dict(solver="zero", operator="mult", init="inv-quad", target="zero")
-    elif which == 2:
-        base = dict(solver="min", operator="norm-subgrad", init="inv-quad", target="zero")
-    elif which == 3:
-        base = dict(solver="hammerstein", operator="example", init="inv-quad",
-                    init_dual="inv-tsin", target="zero")
-    else:
-        raise ValueError(f"example must be 1, 2 or 3, got {which}")
-    base.update(overrides)
-    return make_config(**base)
+    if which not in _EXAMPLES:
+        raise ValueError(f"example must be one of {list(_EXAMPLES)}, got {which}")
+    return make_config(**{"init": "inv-quad", "target": "zero", **_EXAMPLES[which], **overrides})
 
 
 def run_example(
@@ -241,16 +232,16 @@ def run_example(
     ladder: bool = False,
     ladder_min_tol: float | None = None,
     **overrides,
-):
-    """Run a bundled example; with ``ladder`` one record per tolerance rung.
+) -> list[RunRecord]:
+    """Run a bundled example: a list of one record, or with ``ladder`` one per rung.
 
-    Returns a single :class:`RunRecord`, or a list cut from one run to
-    the tightest rung; ``ladder_min_tol`` drops rungs tighter than it.
+    The rungs are cut from one run to the tightest; ``ladder_min_tol``
+    drops rungs tighter than it.
     """
     if not ladder:
         if ladder_min_tol is not None:
             raise ValueError("--ladder-min-tol has no effect without --ladder")
-        return execute(example_config(which, **overrides))
+        return [execute(example_config(which, **overrides))]
     if "tol" in overrides:
         raise ValueError("--tol has no effect with --ladder; use --ladder-min-tol")
     tols = [t for t in EXAMPLE_LADDERS[which] if ladder_min_tol is None or t >= ladder_min_tol]
@@ -288,15 +279,21 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", default="csv", choices=("csv", "json", "loglog"))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, as other errors do; 2 means max_iter
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpmono",
         description="Iterative zero-finding for monotone operators on discretized L_p([0,1])",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parser too
 
     ex = sub.add_parser("run-example", help="run one of the bundled examples")
-    ex.add_argument("which", type=int, choices=(1, 2, 3))
+    ex.add_argument("which", type=int, choices=list(_EXAMPLES))
     ex.add_argument("--ladder", action="store_true", help="rerun across the tolerance ladder")
     ex.add_argument("--ladder-min-tol", type=float, help="skip ladder rungs tighter than this tol")
     _add_common_flags(ex)
@@ -325,11 +322,8 @@ def main(argv=None) -> int:
     flags = {k: v for k, v in flags.items() if v is not None}  # given, or defaulted above
     try:
         if command == "run-example":
-            result = run_example(**flags)
-            records = result if isinstance(result, list) else [result]
+            records = run_example(**flags)
         else:
-            if command == "hilbert":
-                flags.setdefault("p", 2.0)
             if "box" in flags:
                 try:
                     lo, hi = map(float, flags["box"].split(","))

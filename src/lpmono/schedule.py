@@ -69,8 +69,8 @@ def default_schedule(
     """
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if theta_log_base <= 1.0:
-        raise ValueError(f"log base must exceed 1, got {theta_log_base}")
+    if not (math.isfinite(theta_log_base) and theta_log_base > 1.0):
+        raise ValueError(f"log base must be finite and exceed 1, got {theta_log_base}")
     ln_b = math.log(theta_log_base)
 
     def theta(n):
@@ -79,7 +79,8 @@ def default_schedule(
         vals = ln_b / np.log(inner)
         return float(vals) if vals.ndim == 0 else vals
 
-    t1 = theta(1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a bad offset gives nan or -0.0
+        t1 = theta(1)
     if not 0.0 < t1 < 1.0:
         raise ValueError(
             f"theta_offset {theta_offset} leaves theta_1 = {t1:.4g} outside (0,1) "

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lpmono
 import lpmono.cli
@@ -55,3 +56,20 @@ def test_ladder_is_one_solve(capsys):
     assert tracer.acc["solver.calls"] == 1
     # 509 steps are one chunk of the schedule: one alpha and one theta call
     assert tracer.acc["schedule.calls"] == 2
+
+
+@pytest.mark.parametrize("solver, operator, tol", [
+    ("min", "norm-subgrad", 1e-2),
+    ("hilbert", "mult", 1e-3),
+])
+def test_min_and_hilbert_runs_are_counted(solver, operator, tol):
+    # the CLI reaches both through lpmono.cli.solve_zero, the name the tracer wraps
+    tracer = load_tracer().Tracer()
+    tracer.install(lpmono)
+    try:
+        rec = lpmono.cli.execute(lpmono.cli.make_config(solver, operator, tol=tol))
+    finally:
+        tracer.uninstall()
+    assert rec.summary["converged"]
+    assert tracer.acc["solver.calls"] == 1
+    assert tracer.acc["apply.calls"] == rec.trace.nfe

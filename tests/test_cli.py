@@ -96,6 +96,11 @@ class TestExampleRuns:
         with pytest.raises(ValueError, match="rung"):
             run_example(1, ladder=True, ladder_min_tol=1.0)
 
+    def test_single_run_is_a_list_of_one(self):
+        records = run_example(1, tol=1e-3)
+        assert isinstance(records, list) and len(records) == 1
+        assert records[0].summary["converged"]
+
     def test_example_three_dual_residuals(self):
         rec = execute(example_config(3, tol=1e-3))
         assert rec.summary["converged"]
@@ -112,6 +117,10 @@ class TestConfigDispatch:
         with pytest.raises(ValueError, match="catalog"):
             execute(make_config(solver="zero", operator="banana"))
 
+    def test_unknown_operator_lists_the_catalog(self):
+        with pytest.raises(ValueError, match="catalog: mult, zero-op$"):
+            execute(make_config(solver="zero", operator="banana"))
+
     def test_min_requires_subgradient_operator(self):
         with pytest.raises(ValueError, match="norm-subgrad"):
             execute(make_config(solver="min", operator="mult"))
@@ -121,6 +130,12 @@ class TestConfigDispatch:
             execute(make_config(solver="hilbert", operator="mult", p=1.5))
         rec = execute(make_config(solver="hilbert", operator="mult", p=2.0, tol=1e-4))
         assert rec.summary["converged"]
+
+    def test_hilbert_defaults_to_p_two(self):
+        config = make_config("hilbert", "mult", tol=1e-3)
+        assert config["p"] == 2.0
+        assert make_config("zero", "mult")["p"] == 1.5
+        assert execute(config).summary["converged"]
 
     def test_jfixed_requires_dual_form_name(self):
         with pytest.raises(ValueError, match="-as-T"):
@@ -222,6 +237,28 @@ class TestMainEntryPoint:
     def test_error_exits_one(self, capsys):
         assert main(["zero", "--operator", "banana"]) == 1
         assert "catalog" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["zero"],
+        ["zero", "--operator", "mult", "--grid", "abc"],
+        ["run-example", "4"],
+    ])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # 2 is the exit code of a run stopped on max_iter
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "usage: lpmono" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["zero", "--help"])
+        assert info.value.code == 0
+
+    def test_example_two_defaults_to_the_paper_tol(self, capsys):
+        assert example_config(2)["tol"] == 1e-2
+        assert main(["run-example", "2"]) == 0
+        assert json.loads(capsys.readouterr().out.strip())["nfe"] == 584
 
     def test_nan_tol_fails_fast(self, capsys):
         t0 = time.perf_counter()

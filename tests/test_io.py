@@ -224,7 +224,8 @@ def test_schedule_chunks_stream_from_their_arrays():
 def test_trace_peaks_little_above_its_columns(monkeypatch):
     # 5000 unconverged steps of example 2 keep 4 columns of 32 B/step; copying
     # them out of one buffer that is still held would peak at twice that.
-    # Short schedule chunks keep the chunk's Python floats out of the figure.
+    # Short schedule chunks keep the chunk's alpha and theta arrays and their
+    # temporaries out of the figure (4096-step chunks lift it to about 49.5 B/step).
     monkeypatch.setattr(lpmono.schedule, "_STEP_CHUNK", 256)
     tracemalloc.start()
     try:

@@ -100,11 +100,19 @@ class TestDefaultSchedule:
             default_schedule(1.0, theta_log_base=1.0)
         with pytest.raises(ValueError):
             default_schedule(1.0, theta_log_base=10.0)  # needs n0 > 10^10
+        for offset in (0, -20):  # ln ln of 1 is -inf and of -19 nan; neither may warn
+            with pytest.raises(ValueError, match="theta_1"):
+                default_schedule(1.0, theta_offset=offset)
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
     def test_non_finite_gamma_rejected(self, gamma):
         with pytest.raises(ValueError, match="gamma"):
             default_schedule(gamma)
+
+    @pytest.mark.parametrize("base", [float("nan"), float("inf")])
+    def test_non_finite_log_base_rejected(self, base):
+        with pytest.raises(ValueError, match="log base must be finite"):
+            default_schedule(1.0, theta_log_base=base)
 
     def test_meta_records_choices(self):
         s = default_schedule(0.5, theta_offset=20)
