@@ -35,11 +35,11 @@ def duality_into(v: np.ndarray, r: float, w: np.ndarray, out: np.ndarray, scratc
 
     Writes ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) (zero for v = 0) into
     ``out`` (not v) and returns ||v||_r, both from one |v|; ``w`` is the
-    grid's weights.  With r = p this is J, with r = q it is J^{-1}; every
-    duality map in the package evaluates through here.  The sign is
-    copied from v in one pass, which equals multiplying by sign v bit for
-    bit except at a -0.0 node, which maps to -0.0.  Overflow gives inf
-    or nan values.
+    grid's weights.  With r = p this is J, with r = q it is J^{-1}; the
+    engine's step repeats this arithmetic bit for bit in fewer passes.  The
+    sign is copied from v in one pass, which equals multiplying by sign v
+    bit for bit except at a -0.0 node, which maps to -0.0.  Overflow gives
+    inf or nan values.
     """
     norm = abs_norm(np.abs(v, out), r, w, scratch)
     if norm == 0.0:

@@ -12,14 +12,14 @@ that selects the zero of minimal norm.  The iteration stops when
 
 One loop runs every solver.  It works on raw nodal arrays in one of two
 spaces, read from the starting point's number of components: L_p, where
-J and J^{-1} are the p- and q-maps (at p = 2 both are the identity and
-the recursion is the Hilbert one), and the product space E = X x X*,
-where J = [J_p, J_q].  The Hammerstein system u + KFu = 0 is the core
-recursion on E with A[u, v] = [Fu - v, Kv + u]; minimization and
-variational inequalities run it with a subgradient selection, or T plus
-a normal-cone selection, as the operator.  The J-fixed-point form keeps
-its own (1 - alpha) grouping of the update so its reduction to the core
-recursion stays checkable as a test oracle.
+J and J^{-1} are the p- and q-maps (the identity at p = 2, the Hilbert
+case), and the product space E = X x X*, where J = [J_p, J_q].  A step
+takes ||x_{n+1} - x_n|| and the ||x_{n+1}|| of J x_{n+1} in one pass and
+hands the operator x_n read-only.  The Hammerstein system u + KFu = 0 is
+the core recursion on E with A[u, v] = [Fu - v, Kv + u]; minimization
+and variational inequalities take a subgradient selection, or T plus a
+normal-cone selection, as A.  The J-fixed-point form keeps its own
+(1 - alpha) grouping; its reduction to the core recursion is a test oracle.
 
 All solvers are deterministic: identical inputs reproduce identical
 iterate and residual sequences bit for bit (wall-clock columns aside).
@@ -50,7 +50,6 @@ from .grid import (
     GridMismatchError,
     LpContext,
     NonFiniteValuesError,
-    abs_norm,
     lp_norm,
     trapezoid_weights,
     weighted_sum,
@@ -180,9 +179,26 @@ def _jfixed_step(jx, tx, a: float, th: float, out, s) -> None:
     np.subtract(out, np.multiply(jx, a * th, s), out)
 
 
-def _array_op(A) -> MonotoneOp:
-    """``A`` as the engine calls it, on nodal arrays (see MonotoneOp)."""
-    return A if isinstance(A, MonotoneOp) else MonotoneOp(A)
+def _array_ops(M: int, *ops) -> list:
+    """The operators as the engine calls them, on nodal arrays (see MonotoneOp); entry i
+    makes operator i's first call, checks it, then gives its place to the operator."""
+
+    def first(i: int, A: MonotoneOp) -> Callable:
+        def call(v, out):  # v is a read-only view of x_n
+            try:
+                y = A(v, out)
+            except ValueError as exc:  # such as a write into x_n
+                exc.args = (f"operator {A.name!r} at step 1: {exc}",)
+                raise
+            got = getattr(y, "shape", type(y).__name__)
+            if got != (M + 1,):
+                raise TypeError(f"operator {A.name!r} returned {got} at step 1, not shape ({M + 1},)")
+            calls[i] = A
+            return y
+        return call
+
+    calls = [first(i, A if isinstance(A, MonotoneOp) else MonotoneOp(A)) for i, A in enumerate(ops)]
+    return calls
 
 
 def _check_grid(points, M: int, what: str) -> None:
@@ -204,12 +220,13 @@ def _iterate(
     ``x1`` holds the starting point's components: one in L_p, two on
     X x X*, where component i has norm exponent (p, q)[i] and J^{-1} maps
     it by the (q, p)[i]-duality map.  ``op(x, out)`` returns A x_n from
-    the component arrays ``x``, one array per component, into the buffers
-    ``out`` or arrays of its own; ``step`` forms one dual-space component.
-    The run stops once every component residual is below tol.  Each step
-    appends its trace values to one buffer per column, which becomes the
-    trace's column at the end.  Returns copies of the final components
-    followed by the trace.
+    read-only views ``x`` of the component arrays, one per component, into
+    the buffers ``out`` or arrays of its own; ``step`` forms one dual-space
+    component.  The run stops once every component residual is below tol.
+    Each step appends its trace values to one buffer per column, which
+    becomes the trace's column at the end.  Returns copies of the final
+    components followed by the trace.  J^{-1}, J and the residual take
+    ``duality_into``'s arithmetic, bit for bit, in fewer passes (see below).
     """
     ctx = cfg.ctx
     _check_grid(x1, ctx.M, "initial point")
@@ -224,54 +241,77 @@ def _iterate(
         # a zero component pairs with the finite J x_{n+1} to exactly +/-0: skip it
         t = [(i, f.values) for i, f in enumerate(t) if f.values.any()]
     w = trapezoid_weights(ctx.M)
-    # per component: x_n and x_{n+1} (swapped each step), J x_n, A x_n and the dual vector, scratch
+    # per component: x_n and x_{n+1}, swapped each step, with read-only views for the operator;
+    # J x_n; rows [A x_n, then |x_{n+1} - x_n|; scratch, then |x_{n+1}|]. J^{-1} puts |x_{n+1}|
+    # in row 1, with x_{n+1}'s buffer as scratch; J starts from it; one pass sums both rows
     x = [f.values.copy() for f in x1]
-    xn, jx, ax, s = ([np.empty_like(v) for v in x] for _ in range(4))
+    xn, jx = [np.empty_like(v) for v in x], [np.empty_like(v) for v in x]
+    xv, xnv = ([np.lib.stride_tricks.as_strided(v, writeable=False) for v in b] for b in (x, xn))
+    d = [np.empty((2, v.size)) for v in x]
+    ax, sums, ns = [di[0] for di in d], np.empty(2), [0.0] * len(x)
     names = ("residual", "residual_dual")[: len(x)] + ("iterate_norm",)
     names += ("phi_to_target",) * (target is not None) + ("elapsed",)
     cols = {k: array("d") for k in names}  # one buffer per trace column
-    # per component: index, norm exponent, J^{-1} exponent, residual column
-    comps = list(zip(range(len(x)), exps, (ctx.q, ctx.p), names))
-    for i, r, _, _ in comps:
-        duality_into(x[i], r, w, jx[i], s[i])
-    converged = False
-    t0 = time.perf_counter()
+    for v, r, jv, di in zip(x, exps, jx, d):
+        duality_into(v, r, w, jv, di[1])
+    # per component: index, J x_n, rows, residual column, and the powers of the norm exponent r
+    # and of J^{-1}'s rd; a 0-d exponent saves the conversion numpy makes of a float per call
+    powers = lambda r: (np.array(r), 1.0 / r, np.array(r - 1.0), 2.0 - r)
+    comps = [(i, jx[i], d[i], *d[i], cols[k].append, *powers(r), *powers(rd))
+             for i, r, rd, k in zip(range(len(x)), exps, (ctx.q, ctx.p), names)]
+    push_norm, push_time = cols["iterate_norm"].append, cols["elapsed"].append
+    absolute, add_reduce, copysign = np.abs, np.add.reduce, np.copysign
+    multiply, power, subtract = np.multiply, np.power, np.subtract
+    tol, guard, clock, t0 = cfg.tol, cfg.divergence_guard, time.perf_counter, time.perf_counter()
     for n, a, th in cfg.schedule.steps(cfg.max_iter):
         try:
-            y = op(x, ax)
+            y = op(xv, ax)
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
-        res, norms = [], []
-        for i, r, rd, k in comps:
-            step(jx[i], y[i], a, th, ax[i], s[i])
-            duality_into(ax[i], rd, w, xn[i], s[i])
-            res.append(abs_norm(np.abs(np.subtract(xn[i], x[i], s[i]), s[i]), r, w, s[i]))
-            cols[k].append(res[i])
-            norms.append(duality_into(xn[i], r, w, jx[i], s[i]))
-        norm = _norm(norms)
+        top = 0.0
+        for i, ji, di, d0, d1, push, r, ir, r1, r2, rd, ird, rd1, rd2 in comps:
+            xi, xni = x[i], xn[i]
+            step(ji, y[i], a, th, d0, d1)
+            nd = float(add_reduce(multiply(w, power(absolute(d0, d1), rd, xni), xni))) ** ird
+            if nd == 0.0:
+                d1.fill(0.0)
+                xni.fill(0.0)
+            else:
+                copysign(multiply(power(d1, rd1, d1), nd**rd2, d1), d0, xni)
+            power(d1, r1, ji)  # J x_{n+1} from |x_{n+1}|, before d1 is raised to r
+            absolute(subtract(xni, xi, d0), d0)
+            s0, s1 = add_reduce(multiply(w, power(di, r, di), di), 1, None, sums).tolist()
+            res, nrm = s0**ir, s1**ir
+            if nrm == 0.0:
+                ji.fill(0.0)
+            else:
+                copysign(multiply(ji, nrm**r2, ji), xni, ji)
+            push(res)
+            ns[i], top = nrm, max(top, res)
+        norm = _norm(ns)
         # a NaN or inf node makes its component norm non-finite
-        if not norm <= cfg.divergence_guard:
+        if not norm <= guard:
             if not all(np.isfinite(v).all() for v in xn):
                 raise NonFiniteIterateError(f"iterate became non-finite at step {n}")
             raise DivergenceError(
-                f"||x_{n + 1}|| = {norm:.3e} exceeded the guard {cfg.divergence_guard:.1e} "
+                f"||x_{n + 1}|| = {norm:.3e} exceeded the guard {guard:.1e} "
                 f"at step {n}; check the schedule/operator pairing"
             )
-        x, xn = xn, x
-        cols["iterate_norm"].append(norm)
+        x, xn, xv, xnv = xn, x, xnv, xv
+        push_norm(norm)
         if target is not None:
-            tj = sum(weighted_sum(np.multiply(ti, jx[i], s[i]), w, s[i]) for i, ti in t)
+            tj = sum(weighted_sum(multiply(ti, jx[i], ax[i]), w, ax[i]) for i, ti in t) if t else 0.0
             cols["phi_to_target"].append(nt * nt - 2.0 * tj + norm * norm)
-        cols["elapsed"].append(time.perf_counter() - t0)
+        push_time(clock() - t0)
         if callback is not None:
             callback(n + 1, *(GridFunction(v) for v in x))
-        if max(res) < cfg.tol:
-            converged = True
+        if top < tol:
             break
-    # each column copies its buffer, which is freed as it is popped: the
-    # trace peaks at one buffer above its retained size, not twice it
+    # each column copies its buffer, freed as it is popped (the bound appends would hold it):
+    # the trace peaks at one buffer above its retained size, not twice it
+    del comps, push, push_norm, push_time
     columns = {k: np.array(cols.pop(k)) for k in names}
-    return (*(GridFunction(v) for v in x), IterationTrace(columns, converged, cfg.tol))
+    return (*(GridFunction(v) for v in x), IterationTrace(columns, top < tol, cfg.tol))
 
 
 def solve_zero(
@@ -300,8 +340,8 @@ def solve_zero(
     (GridFunction, IterationTrace)
         Final iterate and the full per-step trace.
     """
-    A = _array_op(A)
-    return _iterate(lambda x, out: (A(x[0], out[0]),), (x1,), cfg, callback)
+    A = _array_ops(cfg.ctx.M, A)
+    return _iterate(lambda x, out: (A[0](x[0], out[0]),), (x1,), cfg, callback)
 
 
 def solve_zero_hilbert(
@@ -352,14 +392,14 @@ def solve_vi(
     raises :class:`~lpmono.operators.InfeasiblePointError`.
     """
 
-    T = _array_op(T)
+    T = _array_ops(cfg.ctx.M, T)
     select = _box_selection(box, magnitude)
     beta = np.empty(cfg.ctx.M + 1)
     feas = array("d")
 
     def op(x, out):  # the selection first: it rejects an infeasible x_n before T runs
         feas.append(select(x[0], beta))
-        return (np.add(T(x[0], out[0]), beta, out[0]),)
+        return (np.add(T[0](x[0], out[0]), beta, out[0]),)
 
     x, trace = _iterate(op, (x1,), cfg, callback)
     return x, replace(trace, columns={**trace.columns, "feasibility_violation": np.array(feas)})
@@ -379,8 +419,8 @@ def solve_jfixed(
     solve_zero(J - T) is a test oracle, so the arithmetic here keeps the
     (1 - alpha) grouping instead of delegating.
     """
-    T = _array_op(T)
-    return _iterate(lambda x, out: (T(x[0], out[0]),), (x1,), cfg, callback, step=_jfixed_step)
+    T = _array_ops(cfg.ctx.M, T)
+    return _iterate(lambda x, out: (T[0](x[0], out[0]),), (x1,), cfg, callback, step=_jfixed_step)
 
 
 def solve_hammerstein(
@@ -401,11 +441,11 @@ def solve_hammerstein(
     when a product-space target is declared, the product Lyapunov
     distance to it.  The callback is invoked as callback(n, u_n, v_n).
     """
-    F, K = _array_op(pair.F), _array_op(pair.K)
+    FK = _array_ops(cfg.ctx.M, pair.F, pair.K)
 
     def op(x, out):
         u, v = x
-        return np.subtract(F(u, out[0]), v, out[0]), np.add(K(v, out[1]), u, out[1])
+        return np.subtract(FK[0](u, out[0]), v, out[0]), np.add(FK[1](v, out[1]), u, out[1])
 
     return _iterate(op, (u1, v1), cfg, callback)
 

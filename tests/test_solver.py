@@ -41,6 +41,8 @@ from lpmono import (
     vi_normal_cone_selection,
     zero_op,
 )
+from lpmono.duality import duality_values
+from lpmono.grid import pairing
 
 INV_QUAD = lambda t: 1.0 / (1.0 + t * t)
 
@@ -586,6 +588,101 @@ class TestRegularizationPathResidual:
     def test_theta_must_be_positive(self, ctx):
         with pytest.raises(ValueError):
             regularization_path_residual(mult_op(), GridFunction.zeros(ctx.M), 0.0, ctx)
+
+
+class TestOperatorContract:
+    """An operator reads x_n and returns A x_n as an array of shape (M+1,);
+    a kernel that does otherwise fails at step 1, named."""
+
+    @pytest.mark.parametrize("kernel, fault", [
+        (lambda v, out: np.multiply(v, 2.0, v), "at step 1: output array is read-only"),
+        (lambda v, out: 0.0, "returned float at step 1"),
+        (lambda v, out: out[:50], r"returned \(50,\) at step 1"),
+        (lambda v, out: out[None], r"returned \(1, 101\) at step 1"),
+        (lambda v, out: None, "returned NoneType at step 1"),
+    ], ids=["writes-input", "scalar", "short", "row", "none"])
+    def test_fault_named_at_step_1(self, ctx, kernel, fault):
+        A = MonotoneOp(kernel=kernel, name="probe")
+        with pytest.raises((TypeError, ValueError), match=rf"^operator 'probe' {fault}"):
+            solve_zero(A, GridFunction.full(ctx.M, 1.0), config(ctx, max_iter=2000))
+
+    def test_product_space_component_checked(self, ctx):
+        # F's scalar would broadcast in Fu - v; each operator's result is checked
+        pair = HammersteinPair(F=MonotoneOp(kernel=lambda v, out: 0.0, name="probe"), K=mult_op())
+        u1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        with pytest.raises(TypeError, match="^operator 'probe' returned float at step 1"):
+            solve_hammerstein(pair, u1, u1, config(ctx))
+
+
+class TestEdgeBranches:
+    """The first steps of the engine equal the recursion written out with the
+    public maps, bit for bit, on starts that reach the zero-norm branches."""
+
+    @staticmethod
+    def transcribe(A, x1, ctx, cfg):
+        """Per step: the residuals, ||x_{n+1}||, phi(target, x_{n+1}) and x_{n+1}."""
+        exps = (ctx.p, ctx.q)[: len(x1)]
+        t = (cfg.target.u, cfg.target.v) if len(x1) == 2 else (cfg.target,)
+        norm_of = lambda ns: ns[0] if len(ns) == 1 else float(np.hypot(*ns))
+        nt = norm_of([lp_norm(f, r) for f, r in zip(t, exps)])
+        x = [f.values for f in x1]
+        jx = [duality_values(v, r)[0] for v, r in zip(x, exps)]
+        steps = []
+        for n, a, th in cfg.schedule.steps(cfg.max_iter):
+            ax = A(x)
+            dual = [(j - ax_i * a) - j * (a * th) for j, ax_i in zip(jx, ax)]
+            xn = [duality_values(v, rd)[0] for v, rd in zip(dual, (ctx.q, ctx.p))]
+            res = [lp_norm(GridFunction(u - v), r) for u, v, r in zip(xn, x, exps)]
+            jx, ns = zip(*(duality_values(v, r) for v, r in zip(xn, exps)))
+            norm = norm_of(ns)
+            tj = sum(pairing(f, GridFunction(j)) for f, j in zip(t, jx))
+            steps.append((res, norm, nt * nt - 2.0 * tj + norm * norm, xn))
+            x = xn
+            if max(res) < cfg.tol:
+                break
+        return steps
+
+    @staticmethod
+    def start(kind, M):
+        t = np.linspace(0.0, 1.0, M + 1)
+        if kind == "zero":
+            return np.zeros(M + 1)
+        if kind == "minus-zero":  # -0.0 at every other node
+            return np.where(np.arange(M + 1) % 2 == 1, -0.0, 1.0 / (1.0 + t * t))
+        return np.full(M + 1, 1e-200)  # |x|^3 underflows: the q-norm of the start reads 0
+
+    def check(self, trace, held, expected):
+        assert trace.nfe == len(held) == len(expected)
+        cols = [trace.columns[k] for k in ("residual", "residual_dual") if k in trace.columns]
+        for i, (res, norm, phi, xn) in enumerate(expected):
+            assert [c[i] for c in cols] == res
+            assert trace.columns["iterate_norm"][i] == norm
+            assert trace.columns["phi_to_target"][i] == phi
+            for got, want in zip(held[i], xn):
+                assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["zero", "minus-zero", "tiny"])
+    def test_lp(self, ctx, kind):
+        A = zero_op() if kind == "zero" else mult_op()
+        x1 = GridFunction(self.start(kind, ctx.M))
+        cfg = config(ctx, tol=1e-300, max_iter=3, target=GridFunction.from_callable(INV_QUAD, ctx.M))
+        held = []
+        _, trace = solve_zero(A, x1, cfg, callback=lambda n, x: held.append((x,)))
+        expected = self.transcribe(lambda x: [A(x[0])], (x1,), ctx, cfg)
+        self.check(trace, held, expected)
+
+    @pytest.mark.parametrize("kind", ["zero", "minus-zero", "tiny"])
+    def test_product_space(self, ctx, kind):
+        F = K = zero_op() if kind == "zero" else mult_op()
+        u1 = GridFunction(self.start(kind, ctx.M))
+        v1 = GridFunction(self.start(kind, ctx.M)[::-1])
+        target = ProductPoint(GridFunction.from_callable(INV_QUAD, ctx.M), GridFunction.full(ctx.M, 0.5))
+        cfg = config(ctx, tol=1e-300, max_iter=3, target=target)
+        held = []
+        *_, trace = solve_hammerstein(HammersteinPair(F, K), u1, v1, cfg,
+                                      callback=lambda n, u, v: held.append((u, v)))
+        expected = self.transcribe(lambda x: [F(x[0]) - x[1], K(x[1]) + x[0]], (u1, v1), ctx, cfg)
+        self.check(trace, held, expected)
 
 
 class TestHeldIterates:
