@@ -7,19 +7,13 @@ boxes, and J-fixed points, plus a reproducible experiment harness.
 """
 
 from .duality import (
-    NoRootError,
     ProductPoint,
-    XuConstants,
     duality_map,
     duality_map_inverse,
     lyapunov_phi,
     product_duality,
     product_duality_inverse,
-    product_norm,
-    product_norm_dual,
-    product_pairing,
     v_functional,
-    xu_constants,
 )
 from .grid import (
     GridFunction,
@@ -30,15 +24,12 @@ from .grid import (
     nodes,
     pairing,
     random_smooth,
-    trapezoid_integral,
-    trapezoid_weights,
 )
 from .io import RunRecord, export_csv, export_json, export_loglog, summarize
 from .operators import (
     HammersteinPair,
     InfeasiblePointError,
     MonotoneOp,
-    feasibility_violation,
     hammerstein_example,
     hammerstein_kernel_op,
     j_pseudo_from_monotone,
@@ -46,16 +37,14 @@ from .operators import (
     norm_subgradient_op,
     product_op,
     sample_monotonicity,
-    vi_normal_cone_selection,
     zero_op,
 )
-from .schedule import ParamSchedule, PairingReport, check_acceptably_paired, default_schedule
+from .schedule import ParamSchedule, check_acceptably_paired, default_schedule
 from .solver import (
     DivergenceError,
     IterationTrace,
     NonFiniteIterateError,
     SolveConfig,
-    regularization_path_residual,
     solve_hammerstein,
     solve_jfixed,
     solve_min,
@@ -75,15 +64,12 @@ __all__ = [
     "IterationTrace",
     "LpContext",
     "MonotoneOp",
-    "NoRootError",
     "NonFiniteIterateError",
     "NonFiniteValuesError",
     "ParamSchedule",
-    "PairingReport",
     "ProductPoint",
     "RunRecord",
     "SolveConfig",
-    "XuConstants",
     "check_acceptably_paired",
     "default_schedule",
     "duality_map",
@@ -91,7 +77,6 @@ __all__ = [
     "export_csv",
     "export_json",
     "export_loglog",
-    "feasibility_violation",
     "hammerstein_example",
     "hammerstein_kernel_op",
     "j_pseudo_from_monotone",
@@ -103,12 +88,8 @@ __all__ = [
     "pairing",
     "product_duality",
     "product_duality_inverse",
-    "product_norm",
-    "product_norm_dual",
     "product_op",
-    "product_pairing",
     "random_smooth",
-    "regularization_path_residual",
     "sample_monotonicity",
     "solve_hammerstein",
     "solve_jfixed",
@@ -117,10 +98,6 @@ __all__ = [
     "solve_zero",
     "solve_zero_hilbert",
     "summarize",
-    "trapezoid_integral",
-    "trapezoid_weights",
     "v_functional",
-    "vi_normal_cone_selection",
-    "xu_constants",
     "zero_op",
 ]

@@ -18,6 +18,7 @@ stopped on max_iter, 1 on errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -113,11 +114,13 @@ def make_config(
     box: tuple | list | None = None,
     vi_magnitude: float = 1.0,
     target: str | None = None,
-    divergence_guard: float = 1e6,
 ) -> dict:
     """Assemble the JSON-able run description consumed by :func:`execute`."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    for name, value in (("grid", grid), ("max_iter", max_iter), ("theta_offset", theta_offset)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if p is None:
         p = 2.0 if solver == "hilbert" else 1.5
     return {
@@ -136,7 +139,7 @@ def make_config(
         "box": None if box is None else [float(box[0]), float(box[1])],
         "vi_magnitude": float(vi_magnitude),
         "target": target,
-        "divergence_guard": float(divergence_guard),
+        "divergence_guard": SolveConfig.divergence_guard,
     }
 
 
@@ -285,6 +288,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args leaves the parser as built
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lpmono",

@@ -68,7 +68,7 @@ def export_loglog(rec: RunRecord, path) -> int:
     Rows with nonpositive residual cannot appear on a log scale and are
     dropped; writing nothing is an error rather than an empty file.
     """
-    kept = [(n, r) for n, r in enumerate(rec.trace.residuals().tolist(), 2) if r > 0.0]
+    kept = [(n, r) for n, r in enumerate(rec.trace.columns["residual"].tolist(), 2) if r > 0.0]
     dropped = rec.trace.nfe - len(kept)
     if not kept:
         raise ValueError(

@@ -67,14 +67,14 @@ def sample_monotonicity(
     M: int,
     pairs: int = 100,
     scale: float = 10.0,
-    seed: int = 1234,
 ) -> float:
     """Minimum of <Ax - Ay, x - y> over random smooth pairs.
 
     A monotone operator yields a nonnegative minimum up to roundoff
-    (>= -1e-10 is the acceptance threshold used by the tests).
+    (>= -1e-10 is the acceptance threshold used by the tests).  The pairs
+    come from a fixed seed, so the check is deterministic.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     worst = np.inf
     for _ in range(pairs):
         x = random_smooth(rng, M, scale)
@@ -91,6 +91,12 @@ def _one_plus_t(size: int) -> np.ndarray:
 def _zeros(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     out.fill(0.0)
     return out
+
+
+def _check_size(v: np.ndarray, M: int) -> None:
+    """Reject nodal values from a grid other than the M-subinterval one a kernel was built for."""
+    if v.size != M + 1:
+        raise ValueError(f"kernel built for M = {M}, got function with M = {v.size - 1}")
 
 
 def mult_op() -> MonotoneOp:
@@ -115,18 +121,23 @@ def norm_subgradient_op(ctx: LpContext, variant: str = "literal") -> MonotoneOp:
     x / ||x||_p; ``duality`` returns J(x) / ||x||_p, the selection with
     <x, g> = ||x||_p and ||g||_q = 1 that is the honest subgradient in
     L_p.  At x = 0 the subdifferential is the closed unit dual ball and
-    the selection returned is 0.
+    the selection returned is 0.  The operator works on ctx's grid only.
     """
     if variant not in SUBGRADIENT_VARIANTS:
         raise ValueError(f"unknown subgradient variant {variant!r}")
+    M, p, w, s = ctx.M, ctx.p, trapezoid_weights(ctx.M), np.empty(ctx.M + 1)
 
-    def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if variant == "literal":
-            norm = abs_norm(np.abs(v, out), ctx.p, trapezoid_weights(v.size - 1), out)
-            return _zeros(v, out) if norm == 0.0 else np.divide(v, norm, out)
-        norm = duality_into(v, ctx.p, trapezoid_weights(v.size - 1), out, np.empty_like(v))
+    def literal(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        _check_size(v, M)
+        norm = abs_norm(np.abs(v, out), p, w, out)
+        return _zeros(v, out) if norm == 0.0 else np.divide(v, norm, out)
+
+    def duality(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        _check_size(v, M)
+        norm = duality_into(v, p, w, out, s)
         return out if norm == 0.0 else np.divide(out, norm, out)
 
+    kernel = literal if variant == "literal" else duality
     return MonotoneOp(kernel=kernel, name=f"norm-subgrad[{variant}]")
 
 
@@ -160,8 +171,7 @@ def hammerstein_kernel_op(kernel) -> MonotoneOp:
     kw = k * w  # fold quadrature weights into the matrix
 
     def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if v.size != M + 1:
-            raise ValueError(f"kernel built for M = {M}, got function with M = {v.size - 1}")
+        _check_size(v, M)
         return np.matmul(kw, v, out)
 
     slack = sample_monotonicity(MonotoneOp(kernel=kernel), M, pairs=50, scale=1.0)
@@ -246,12 +256,14 @@ def j_pseudo_from_monotone(A: MonotoneOp, ctx: LpContext) -> MonotoneOp:
     """The J-pseudocontractive map T = J - A paired with a monotone A.
 
     x is a J-fixed point of T (Tx = Jx) exactly when Ax = 0, which is
-    what lets the J-fixed-point solver reuse the zero-finding engine.
+    what lets the J-fixed-point solver reuse the zero-finding engine.  T
+    works on ctx's grid only.
     """
+    M, p, w, s = ctx.M, ctx.p, trapezoid_weights(ctx.M), np.empty(ctx.M + 1)
 
     def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        s = np.empty_like(v)
-        duality_into(v, ctx.p, trapezoid_weights(v.size - 1), out, s)
+        _check_size(v, M)
+        duality_into(v, p, w, out, s)
         return np.subtract(out, A(v, s), out)
 
     return MonotoneOp(kernel=kernel, name=f"J-minus-{A.name}")

@@ -67,6 +67,8 @@ def default_schedule(
     n(i) = i^i.  Offset and base are recorded in ``meta`` and may be
     varied for sensitivity studies.
     """
+    if not isinstance(theta_offset, (int, np.integer)):
+        raise ValueError(f"theta_offset must be an integer, got {theta_offset!r}")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if not (math.isfinite(theta_log_base) and theta_log_base > 1.0):
@@ -110,7 +112,7 @@ def default_schedule(
 
 @dataclass(frozen=True)
 class PairingReport:
-    """Block statistics S1, S2, S3 for i in [i_min, i_max] plus flags.
+    """Block statistics S1, S2, S3 for i in [2, i_max] plus flags.
 
     ``s1_decreasing_to_zero`` requires strict decrease across the sampled
     blocks; ``s2_bounded_away`` requires min(S2) >= 0.1;
@@ -139,14 +141,10 @@ def _block_alpha_sums(schedule: ParamSchedule, a: int, b: int) -> tuple[float, f
     return total_sq, total
 
 
-def check_acceptably_paired(
-    schedule: ParamSchedule,
-    i_max: int,
-    i_min: int = 2,
-) -> PairingReport:
-    """Evaluate the block statistics of the pairing over i = i_min..i_max.
+def check_acceptably_paired(schedule: ParamSchedule, i_max: int) -> PairingReport:
+    """Evaluate the block statistics of the pairing over i = 2..i_max.
 
-    The first block is skipped by default: with a shifted theta it is not
+    The first block is skipped: with a shifted theta it is not
     representative of the limiting behavior.  ``i_max`` is capped at 8, which
     sums alpha over 9^9 terms in about 13 s (7: 8^8 terms, about 1 s).
     """
@@ -156,11 +154,8 @@ def check_acceptably_paired(
         raise OverflowError(
             f"i_max = {i_max} exceeds the supported block range (<= {_BLOCK_I_MAX})"
         )
-    if not 1 <= i_min <= i_max:
-        raise ValueError(f"need 1 <= i_min <= i_max, got i_min = {i_min}")
-
     i_values, s1, s2, s3 = [], [], [], []
-    for i in range(i_min, i_max + 1):
+    for i in range(2, i_max + 1):
         a, b = int(schedule.block(i)), int(schedule.block(i + 1))
         if b <= a:
             raise ValueError(f"block sequence is not strictly increasing at i = {i}")

@@ -148,9 +148,6 @@ class IterationTrace:
             raise ValueError("trace is empty")
         return self._row(self.nfe - 1)
 
-    def residuals(self) -> np.ndarray:
-        return self.columns["residual"]
-
     def prefix(self, tol: float) -> "IterationTrace":
         """The trace of this solve stopped at ``tol`` >= ``self.tol``, a prefix of this one."""
         if tol < self.tol:

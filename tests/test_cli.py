@@ -11,6 +11,7 @@ import pytest
 
 from lpmono.cli import (
     EXAMPLE_LADDERS,
+    _build_parser,
     example_config,
     execute,
     main,
@@ -125,6 +126,19 @@ class TestConfigDispatch:
         with pytest.raises(ValueError, match="norm-subgrad"):
             execute(make_config(solver="min", operator="mult"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid", 100.5), ("max_iter", 2.9), ("theta_offset", 16.7),
+    ])
+    def test_integer_fields_are_not_truncated(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make_config("zero", "mult", **{field: value})
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        config = make_config("zero", "mult", grid=np.int64(50), max_iter=np.int32(9),
+                             theta_offset=np.int64(17))
+        assert [(config[k], type(config[k])) for k in ("grid", "max_iter", "theta_offset")] == [
+            (50, int), (9, int), (17, int)]
+
     def test_hilbert_requires_p_two(self):
         with pytest.raises(ValueError, match="p 2"):
             execute(make_config(solver="hilbert", operator="mult", p=1.5))
@@ -222,6 +236,12 @@ class TestMainEntryPoint:
         assert meta["converged"] is True
         assert meta["nfe"] >= 1
         assert meta["solver"] == "zero"
+
+    def test_parser_built_once(self, capsys):
+        assert _build_parser() is _build_parser()
+        for _ in range(2):  # the second run parses with the cached parser
+            assert main(["run-example", "1", "--tol", "1e-3"]) == 0
+            assert json.loads(capsys.readouterr().out.strip())["nfe"] == 7
 
     def test_vi_defaults_run(self, capsys):
         # the default box holds the default start inside it

@@ -8,7 +8,6 @@ import pytest
 from lpmono import (
     GridFunction,
     LpContext,
-    NoRootError,
     ProductPoint,
     duality_map,
     duality_map_inverse,
@@ -17,15 +16,18 @@ from lpmono import (
     pairing,
     product_duality,
     product_duality_inverse,
+    random_smooth,
+    v_functional,
+)
+from lpmono.duality import (
+    NoRootError,
+    duality_into,
     product_norm,
     product_norm_dual,
     product_pairing,
-    random_smooth,
-    trapezoid_weights,
-    v_functional,
     xu_constants,
 )
-from lpmono.duality import duality_into
+from lpmono.grid import trapezoid_weights
 
 
 class TestDualityMap:

@@ -160,7 +160,7 @@ import sys
 import numpy as np
 from lpmono.cli import example_config, execute
 trace = execute(example_config(1, grid=10_000, tol=1e-3)).trace
-sys.stdout.write(np.asarray(trace.residuals(), dtype="<f8").tobytes().hex())
+sys.stdout.write(np.asarray(trace.columns["residual"], dtype="<f8").tobytes().hex())
 """
 
 

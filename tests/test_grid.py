@@ -13,9 +13,8 @@ from lpmono import (
     lp_norm,
     pairing,
     random_smooth,
-    trapezoid_integral,
-    trapezoid_weights,
 )
+from lpmono.grid import trapezoid_integral, trapezoid_weights
 
 
 def from_rule(rule, M=100):

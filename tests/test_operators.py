@@ -12,8 +12,9 @@ from lpmono import (
     LpContext,
     NonFiniteValuesError,
     ProductPoint,
+    SolveConfig,
+    default_schedule,
     duality_map,
-    feasibility_violation,
     hammerstein_example,
     hammerstein_kernel_op,
     j_pseudo_from_monotone,
@@ -22,13 +23,15 @@ from lpmono import (
     norm_subgradient_op,
     pairing,
     product_op,
-    product_pairing,
     random_smooth,
     sample_monotonicity,
-    trapezoid_integral,
-    vi_normal_cone_selection,
+    solve_jfixed,
+    solve_min,
     zero_op,
 )
+from lpmono.duality import product_pairing
+from lpmono.grid import trapezoid_integral
+from lpmono.operators import feasibility_violation, vi_normal_cone_selection
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -296,3 +299,27 @@ class TestJPseudoFromMonotone:
         T = j_pseudo_from_monotone(zero_op(), ctx)
         x = random_smooth(rng, ctx.M, scale=2.0)
         assert np.allclose(T(x).values, duality_map(x, ctx).values, rtol=0, atol=0)
+
+
+# operators built from an LpContext of M = 50, run in an M = 100 solve
+GRID_BOUND = {
+    "literal": lambda ctx: (solve_min, norm_subgradient_op(ctx, "literal")),
+    "duality": lambda ctx: (solve_min, norm_subgradient_op(ctx, "duality")),
+    "J-minus-A": lambda ctx: (solve_jfixed, j_pseudo_from_monotone(mult_op(), ctx)),
+}
+
+
+class TestBoundToContextGrid:
+    @pytest.mark.parametrize("case", list(GRID_BOUND))
+    def test_other_grid_fails_at_step_one(self, ctx, case):
+        solve, op = GRID_BOUND[case](LpContext(ctx.p, 50))
+        cfg = SolveConfig(ctx, default_schedule(1.0), max_iter=5)
+        x1 = GridFunction.full(ctx.M, 1.0)
+        with pytest.raises(ValueError, match="at step 1: kernel built for M = 50, got .* M = 100"):
+            solve(op, x1, cfg)
+
+    @pytest.mark.parametrize("case", list(GRID_BOUND))
+    def test_other_grid_fails_on_apply(self, ctx, case):
+        _, op = GRID_BOUND[case](ctx)
+        with pytest.raises(ValueError, match="M = 100"):
+            op(GridFunction.full(50, 1.0))

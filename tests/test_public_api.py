@@ -1,7 +1,76 @@
 """The package's public surface: ``__all__`` lists each exported name once,
-and every listed name resolves."""
+every listed name resolves, and helpers that only their own modules' callers
+need stay out of it."""
+
+import importlib
+
+import pytest
 
 import lpmono
+
+# adding a public name is a reviewed edit of this tuple
+PUBLIC = (
+    "DivergenceError",
+    "GridFunction",
+    "GridMismatchError",
+    "HammersteinPair",
+    "InfeasiblePointError",
+    "IterationTrace",
+    "LpContext",
+    "MonotoneOp",
+    "NonFiniteIterateError",
+    "NonFiniteValuesError",
+    "ParamSchedule",
+    "ProductPoint",
+    "RunRecord",
+    "SolveConfig",
+    "check_acceptably_paired",
+    "default_schedule",
+    "duality_map",
+    "duality_map_inverse",
+    "export_csv",
+    "export_json",
+    "export_loglog",
+    "hammerstein_example",
+    "hammerstein_kernel_op",
+    "j_pseudo_from_monotone",
+    "lp_norm",
+    "lyapunov_phi",
+    "mult_op",
+    "nodes",
+    "norm_subgradient_op",
+    "pairing",
+    "product_duality",
+    "product_duality_inverse",
+    "product_op",
+    "random_smooth",
+    "sample_monotonicity",
+    "solve_hammerstein",
+    "solve_jfixed",
+    "solve_min",
+    "solve_vi",
+    "solve_zero",
+    "solve_zero_hilbert",
+    "summarize",
+    "v_functional",
+    "zero_op",
+)
+
+# helpers that only their modules' callers and the tests reach
+MODULE_ONLY = {
+    "XuConstants": "lpmono.duality",
+    "xu_constants": "lpmono.duality",
+    "NoRootError": "lpmono.duality",
+    "product_norm": "lpmono.duality",
+    "product_norm_dual": "lpmono.duality",
+    "product_pairing": "lpmono.duality",
+    "trapezoid_integral": "lpmono.grid",
+    "trapezoid_weights": "lpmono.grid",
+    "feasibility_violation": "lpmono.operators",
+    "vi_normal_cone_selection": "lpmono.operators",
+    "PairingReport": "lpmono.schedule",
+    "regularization_path_residual": "lpmono.solver",
+}
 
 
 def test_star_import():
@@ -12,6 +81,10 @@ def test_star_import():
 
 def test_all_has_no_duplicates():
     assert len(lpmono.__all__) == len(set(lpmono.__all__))
+
+
+def test_all_is_the_pinned_surface():
+    assert tuple(sorted(lpmono.__all__)) == PUBLIC
 
 
 def test_every_listed_name_resolves():
@@ -32,3 +105,12 @@ def test_identity_op_importable_but_not_listed():
     assert identity_op.__module__ == "lpmono.operators"
     assert "identity_op" not in lpmono.__all__
     assert not hasattr(lpmono, "identity_op")
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_ONLY))
+def test_module_helper_importable_but_not_listed(name):
+    module = MODULE_ONLY[name]
+    obj = getattr(importlib.import_module(module), name)
+    assert obj.__module__ == module
+    assert name not in lpmono.__all__
+    assert not hasattr(lpmono, name)

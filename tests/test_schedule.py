@@ -114,6 +114,12 @@ class TestDefaultSchedule:
         with pytest.raises(ValueError, match="log base must be finite"):
             default_schedule(1.0, theta_log_base=base)
 
+    def test_theta_offset_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="theta_offset must be an integer"):
+            default_schedule(1.0, theta_offset=16.5)
+        n0 = default_schedule(1.0, theta_offset=np.int64(17)).meta["n0"]
+        assert (n0, type(n0)) == (17, int)
+
     def test_meta_records_choices(self):
         s = default_schedule(0.5, theta_offset=20)
         assert s.meta["n0"] == 20
@@ -169,14 +175,6 @@ class TestCheckAcceptablyPaired:
         assert time.perf_counter() - t0 < 0.1
         with pytest.raises(ValueError):
             check_acceptably_paired(s, 1)
-        with pytest.raises(ValueError):
-            check_acceptably_paired(s, 6, i_min=0)
-        with pytest.raises(ValueError):
-            check_acceptably_paired(s, 6, i_min=7)
-
-    def test_full_range_from_one(self):
-        report = check_acceptably_paired(default_schedule(1.0), 4, i_min=1)
-        assert report.i_values == (1, 2, 3, 4)
 
 
 S1_HEX = """
