@@ -8,8 +8,10 @@ Exposes the generic solvers (``zero``, ``hilbert``, ``min``, ``vi``,
 2. minimization of the p-norm via its subgradient,
 3. the Hammerstein system with F = (t+1)u and K = identity.
 
-Every run is described by a plain dict of JSON-able values; rerunning a
-stored config reproduces the iteration count and residuals bit for bit.
+Every run is described by a :class:`RunConfig`, checked when it is built;
+its record, ``asdict`` of it plus the schedule's meta, is what a run stores
+and exports, and rerunning that record reproduces the iteration count and
+residuals bit for bit.
 A tolerance ladder is one run to its tightest rung, cut into a prefix
 per rung.  Exit status: 0 when every run converged, 2 when some run
 stopped on max_iter, 1 on errors.
@@ -21,7 +23,10 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,144 +95,171 @@ def resolve_init(source: str, M: int) -> GridFunction:
     )
 
 
-def _initial_point(config: dict, key: str, M: int) -> GridFunction:
-    """The initial point of config field ``key``; an error names its flag."""
+def _from_flag(flag: str, load, *args, **kwargs):
+    """``load(*args, **kwargs)``; a file or parse error names the flag of its input."""
     try:
-        return resolve_init(config[key], M)
-    except ValueError as exc:
-        raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
+        return load(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
-def make_config(
-    solver: str,
-    operator: str,
-    init: str = "inv-quad",
-    init_dual: str | None = None,
-    p: float | None = None,  # 2 for hilbert, 3/2 otherwise
-    grid: int = 100,
-    tol: float = 1e-6,
-    max_iter: int = 1_000_000,
-    gamma: float = 1.0,
-    theta_offset: int = 16,
-    theta_base: float = math.e,
-    subgrad_variant: str = "literal",
-    box: tuple | list | None = None,
-    vi_magnitude: float = 1.0,
-    target: str | None = None,
-) -> dict:
-    """Assemble the JSON-able run description consumed by :func:`execute`."""
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    for name, value in (("grid", grid), ("max_iter", max_iter), ("theta_offset", theta_offset)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if p is None:
-        p = 2.0 if solver == "hilbert" else 1.5
-    return {
-        "solver": solver,
-        "operator": operator,
-        "init": init,
-        "init_dual": init_dual,
-        "p": float(p),
-        "grid": int(grid),
-        "tol": float(tol),
-        "max_iter": int(max_iter),
-        "gamma": float(gamma),
-        "theta_offset": int(theta_offset),
-        "theta_base": float(theta_base),
-        "subgrad_variant": subgrad_variant,
-        "box": None if box is None else [float(box[0]), float(box[1])],
-        "vi_magnitude": float(vi_magnitude),
-        "target": target,
-        "divergence_guard": SolveConfig.divergence_guard,
-    }
+# the solver-specific fields, and the solver that reads each; others keep its default
+_READ_BY = {"init_dual": "hammerstein", "subgrad_variant": "min", "box": "vi", "vi_magnitude": "vi"}
 
 
-def _catalog_operator(name: str):
-    if name not in _CATALOG:
-        raise ValueError(f"unknown operator {name!r}; catalog: {', '.join(_CATALOG)}")
-    return _CATALOG[name]()
+@dataclass(frozen=True)
+class RunConfig:
+    """One run, checked when built; :func:`execute` reads nothing else.
+
+    ``asdict`` of it, with the schedule's meta, is the record a run stores
+    and exports.  ``divergence_guard`` is recorded but cannot be set.
+    """
+
+    solver: str
+    operator: str
+    init: str = "inv-quad"
+    init_dual: str | None = None
+    p: float | None = None  # 2 for hilbert, 3/2 otherwise
+    grid: int = 100
+    tol: float = 1e-6
+    max_iter: int = 1_000_000
+    gamma: float = 1.0
+    theta_offset: int = 16
+    theta_base: float = math.e
+    subgrad_variant: str = "literal"
+    box: tuple[float, float] | None = None
+    vi_magnitude: float = 1.0
+    target: str | None = None
+    divergence_guard: float = field(default=SolveConfig.divergence_guard, init=False)
+
+    def __post_init__(self) -> None:
+        solver, operator = self.solver, self.operator
+        put = functools.partial(object.__setattr__, self)
+        if solver not in SOLVERS:
+            raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+        if self.p is None:
+            put("p", 2.0 if solver == "hilbert" else 1.5)
+        for name in ("grid", "max_iter", "theta_offset"):
+            put(name, _number(name, getattr(self, name), int))
+        for name in ("p", "tol", "gamma", "theta_base", "vi_magnitude"):
+            put(name, _number(name, getattr(self, name), float))
+        if self.box is not None:
+            try:
+                lo, hi = self.box
+            except (TypeError, ValueError):
+                raise ValueError(f"box must be a pair (lo, hi), got {self.box!r}") from None
+            put("box", (_number("box", lo, float), _number("box", hi, float)))
+        for name, reader in _READ_BY.items():
+            if solver != reader and getattr(self, name) != getattr(RunConfig, name):
+                raise ValueError(f"{name} is read by solver {reader!r} only, not {solver!r}")
+        if solver == "hilbert" and self.p != 2.0:
+            raise ValueError("solver 'hilbert' requires --p 2")
+        if solver == "vi" and self.box is None:
+            raise ValueError("solver 'vi' needs --box for the bounds")
+        if solver == "hammerstein" and self.init_dual is None:
+            raise ValueError("solver 'hammerstein' needs --init-dual for the dual start")
+        if self.target not in (None, "zero"):
+            raise ValueError(f"unknown target {self.target!r}; only 'zero' is supported")
+        if solver == "min" and operator != "norm-subgrad":
+            raise ValueError("solver 'min' expects operator 'norm-subgrad' "
+                             "(a subgradient selection, chosen via --subgrad-variant)")
+        if solver == "jfixed" and not operator.endswith("-as-T"):
+            raise ValueError("solver 'jfixed' expects a dual-form map such as 'mult-as-T' "
+                             "(a catalog operator name suffixed with -as-T)")
+        if solver == "hammerstein" and operator != "example" and not operator.startswith("kernel:"):
+            raise ValueError("solver 'hammerstein' expects operator 'example' or 'kernel:<csv>'")
+        if solver in ("zero", "hilbert", "vi", "jfixed"):
+            base = operator.removesuffix("-as-T") if solver == "jfixed" else operator
+            if base not in _CATALOG:
+                raise ValueError(f"unknown operator {base!r}; catalog: {', '.join(_CATALOG)}")
 
 
-def execute(config: dict) -> RunRecord:
-    """Run one solve described by a config dict; deterministic in config."""
-    solver = config["solver"]
-    operator = config["operator"]
-    ctx = LpContext(p=config["p"], M=config["grid"])
-    sched = default_schedule(config["gamma"], config["theta_offset"], config["theta_base"])
-    x1 = _initial_point(config, "init", ctx.M)
+def _number(name: str, value, kind: type):
+    """``value`` as a Python ``kind``; a str, a bool or a fractional int is refused by name."""
+    ok = (int, np.integer) if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, ok):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _from_record(record: Mapping) -> RunConfig:
+    """A stored run description, rebuilt; what the run derives must match it."""
+    given = dict(record)
+    derived = {k: given.pop(k) for k in ("schedule", "divergence_guard") if k in given}
+    missing = [f.name for f in fields(RunConfig) if f.init and f.name not in given]
+    if missing:
+        raise ValueError(f"a stored config holds every field; missing {', '.join(missing)}")
+    config = RunConfig(**given)  # an unknown key is refused by name
+    for key, value in derived.items():
+        runs = (default_schedule(config.gamma, config.theta_offset, config.theta_base).meta
+                if key == "schedule" else config.divergence_guard)
+        if value != runs:
+            raise ValueError(f"{key} is derived by the run and cannot be set: got {value!r}, "
+                             f"the run derives {runs!r}")
+    return config
+
+
+def execute(config: RunConfig | Mapping) -> RunRecord:
+    """Run one solve; deterministic in its config.
+
+    A mapping, such as a stored ``RunRecord.config`` or a JSON export's
+    ``config``, is rebuilt as a :class:`RunConfig` first.
+    """
+    if not isinstance(config, RunConfig):
+        config = _from_record(config)
+    solver, operator = config.solver, config.operator
+    ctx = LpContext(p=config.p, M=config.grid)
+    sched = default_schedule(config.gamma, config.theta_offset, config.theta_base)
+    x1 = _from_flag("--init", resolve_init, config.init, ctx.M)
 
     target = None
-    if config.get("target") == "zero":
+    if config.target == "zero":
         zero = GridFunction.zeros(ctx.M)
         target = ProductPoint(zero, zero) if solver == "hammerstein" else zero
-    elif config.get("target") is not None:
-        raise ValueError(f"unknown target {config['target']!r}; only 'zero' is supported")
 
-    cfg = SolveConfig(ctx=ctx, schedule=sched, tol=config["tol"], max_iter=config["max_iter"],
-                      divergence_guard=config["divergence_guard"], target=target)
+    cfg = SolveConfig(ctx=ctx, schedule=sched, tol=config.tol, max_iter=config.max_iter,
+                      divergence_guard=config.divergence_guard, target=target)
 
     # zero, hilbert and min are the core recursion with their own A
-    if solver == "hilbert" and ctx.p != 2.0:
-        raise ValueError("solver 'hilbert' requires --p 2")
     if solver == "min":
-        if operator != "norm-subgrad":
-            raise ValueError(
-                "solver 'min' expects operator 'norm-subgrad' "
-                "(a subgradient selection, chosen via --subgrad-variant)"
-            )
-        _, trace = solve_zero(norm_subgradient_op(ctx, config["subgrad_variant"]), x1, cfg)
+        _, trace = solve_zero(norm_subgradient_op(ctx, config.subgrad_variant), x1, cfg)
     elif solver in ("zero", "hilbert"):
-        _, trace = solve_zero(_catalog_operator(operator), x1, cfg)
+        _, trace = solve_zero(_CATALOG[operator](), x1, cfg)
     elif solver == "vi":
-        if config["box"] is None:
-            raise ValueError("solver 'vi' needs --box for the bounds")
-        _, trace = solve_vi(
-            _catalog_operator(operator), config["box"], x1, cfg, magnitude=config["vi_magnitude"]
-        )
+        A = _CATALOG[operator]()
+        _, trace = solve_vi(A, config.box, x1, cfg, magnitude=config.vi_magnitude)
     elif solver == "jfixed":
-        if not operator.endswith("-as-T"):
-            raise ValueError(
-                "solver 'jfixed' expects a dual-form map such as 'mult-as-T' "
-                "(a catalog operator name suffixed with -as-T)"
-            )
-        base = _catalog_operator(operator[: -len("-as-T")])
+        base = _CATALOG[operator.removesuffix("-as-T")]()
         _, trace = solve_jfixed(j_pseudo_from_monotone(base, ctx), x1, cfg)
-    elif solver == "hammerstein":
+    else:  # hammerstein
         if operator == "example":
             pair = hammerstein_example()
-        elif operator.startswith("kernel:"):
-            kernel = np.loadtxt(operator[len("kernel:"):], delimiter=",")
+        else:
+            kernel = _from_flag("--operator", np.loadtxt, operator.removeprefix("kernel:"),
+                                delimiter=",")
             if kernel.shape[0] != ctx.M + 1:
                 raise ValueError(
                     f"kernel file is {kernel.shape[0] - 1}+1 nodes but --grid is {ctx.M}"
                 )
             pair = HammersteinPair(F=mult_op(), K=hammerstein_kernel_op(kernel))
-        else:
-            raise ValueError(
-                "solver 'hammerstein' expects operator 'example' or 'kernel:<csv>'"
-            )
-        if config["init_dual"] is None:
-            raise ValueError("solver 'hammerstein' needs --init-dual for the dual start")
-        v1 = _initial_point(config, "init_dual", ctx.M)
+        v1 = _from_flag("--init-dual", resolve_init, config.init_dual, ctx.M)
         _, _, trace = solve_hammerstein(pair, x1, v1, cfg)
-    else:  # pragma: no cover - guarded by make_config
-        raise ValueError(f"unknown solver {solver!r}")
 
-    stored = {**config, "schedule": dict(sched.meta)}  # formulas + n0/base/gamma, for audits
+    stored = {**asdict(config), "schedule": dict(sched.meta)}  # formulas + n0/base/gamma, for audits
     return RunRecord(config=stored, trace=trace, summary=summarize(trace))
 
 
-def execute_many(configs: list[dict]) -> list[RunRecord]:
+def execute_many(configs: list[RunConfig]) -> list[RunRecord]:
     """Run independent configs one after another."""
     return [execute(c) for c in configs]
 
 
-def example_config(which: int, **overrides) -> dict:
+def example_config(which: int, **overrides) -> RunConfig:
     """Config for one bundled example; overrides replace any field."""
     if which not in _EXAMPLES:
         raise ValueError(f"example must be one of {list(_EXAMPLES)}, got {which}")
-    return make_config(**{"init": "inv-quad", "target": "zero", **_EXAMPLES[which], **overrides})
+    return RunConfig(**{"init": "inv-quad", "target": "zero", **_EXAMPLES[which], **overrides})
 
 
 def run_example(
@@ -269,7 +301,7 @@ def _emit(rec: RunRecord, out: str | None, fmt: str, ladder: bool) -> dict:
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    # no defaults: a flag that is not given takes make_config's default
+    # no defaults: a flag that is not given takes RunConfig's default
     sp.add_argument("--p", type=float, help="primal exponent in (1, 2]")
     sp.add_argument("--grid", type=int, help="subinterval count M")
     sp.add_argument("--tol", type=float, help="stopping tolerance")
@@ -333,8 +365,8 @@ def main(argv=None) -> int:
                     lo, hi = map(float, flags["box"].split(","))
                 except ValueError:
                     raise ValueError(f"--box expects 'lo,hi', got {flags['box']!r}") from None
-                flags["box"] = [lo, hi]
-            records = [execute(make_config(command, **flags))]
+                flags["box"] = (lo, hi)
+            records = [execute(RunConfig(command, **flags))]
         for rec in records:
             _emit(rec, out, fmt, flags.get("ladder", False))
     except Exception as exc:  # surface everything as exit code 1

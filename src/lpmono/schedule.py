@@ -67,7 +67,7 @@ def default_schedule(
     n(i) = i^i.  Offset and base are recorded in ``meta`` and may be
     varied for sensitivity studies.
     """
-    if not isinstance(theta_offset, (int, np.integer)):
+    if isinstance(theta_offset, bool) or not isinstance(theta_offset, (int, np.integer)):
         raise ValueError(f"theta_offset must be an integer, got {theta_offset!r}")
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")

@@ -67,7 +67,7 @@ def test_min_and_hilbert_runs_are_counted(solver, operator, tol):
     tracer = load_tracer().Tracer()
     tracer.install(lpmono)
     try:
-        rec = lpmono.cli.execute(lpmono.cli.make_config(solver, operator, tol=tol))
+        rec = lpmono.cli.execute(lpmono.cli.RunConfig(solver, operator, tol=tol))
     finally:
         tracer.uninstall()
     assert rec.summary["converged"]

@@ -9,13 +9,14 @@ import time
 import numpy as np
 import pytest
 
+from lpmono import export_json
 from lpmono.cli import (
     EXAMPLE_LADDERS,
+    RunConfig,
     _build_parser,
     example_config,
     execute,
     main,
-    make_config,
     resolve_init,
     run_example,
 )
@@ -74,13 +75,13 @@ class TestExampleRuns:
 
     def test_generic_zero_aliases_example_one(self):
         a = execute(example_config(1))
-        b = execute(make_config("zero", "mult", init="inv-quad", target="zero"))
+        b = execute(RunConfig("zero", "mult", init="inv-quad", target="zero"))
         assert a.summary["nfe"] == b.summary["nfe"]
         assert a.summary["final_residual"] == b.summary["final_residual"]
 
     def test_jfixed_matches_zero_end_to_end(self):
-        a = execute(make_config("zero", "mult", init="inv-quad"))
-        b = execute(make_config("jfixed", "mult-as-T", init="inv-quad"))
+        a = execute(RunConfig("zero", "mult", init="inv-quad"))
+        b = execute(RunConfig("jfixed", "mult-as-T", init="inv-quad"))
         assert a.summary["nfe"] == b.summary["nfe"]
         assert a.summary["final_residual"] == pytest.approx(
             b.summary["final_residual"], rel=1e-10
@@ -112,56 +113,58 @@ class TestExampleRuns:
 class TestConfigDispatch:
     def test_unknown_solver(self):
         with pytest.raises(ValueError, match="unknown solver"):
-            make_config(solver="newton", operator="mult")
+            RunConfig(solver="newton", operator="mult")
 
     def test_unknown_operator(self):
         with pytest.raises(ValueError, match="catalog"):
-            execute(make_config(solver="zero", operator="banana"))
+            execute(RunConfig(solver="zero", operator="banana"))
 
     def test_unknown_operator_lists_the_catalog(self):
         with pytest.raises(ValueError, match="catalog: mult, zero-op$"):
-            execute(make_config(solver="zero", operator="banana"))
+            execute(RunConfig(solver="zero", operator="banana"))
 
     def test_min_requires_subgradient_operator(self):
         with pytest.raises(ValueError, match="norm-subgrad"):
-            execute(make_config(solver="min", operator="mult"))
+            execute(RunConfig(solver="min", operator="mult"))
 
     @pytest.mark.parametrize("field, value", [
         ("grid", 100.5), ("max_iter", 2.9), ("theta_offset", 16.7),
+        ("grid", True), ("max_iter", True), ("theta_offset", False),
     ])
     def test_integer_fields_are_not_truncated(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            make_config("zero", "mult", **{field: value})
+            RunConfig("zero", "mult", **{field: value})
 
     def test_numpy_integers_stored_as_python_ints(self):
-        config = make_config("zero", "mult", grid=np.int64(50), max_iter=np.int32(9),
-                             theta_offset=np.int64(17))
-        assert [(config[k], type(config[k])) for k in ("grid", "max_iter", "theta_offset")] == [
+        config = RunConfig("zero", "mult", grid=np.int64(50), max_iter=np.int32(9),
+                           theta_offset=np.int64(17))
+        assert [(getattr(config, k), type(getattr(config, k)))
+                for k in ("grid", "max_iter", "theta_offset")] == [
             (50, int), (9, int), (17, int)]
 
     def test_hilbert_requires_p_two(self):
         with pytest.raises(ValueError, match="p 2"):
-            execute(make_config(solver="hilbert", operator="mult", p=1.5))
-        rec = execute(make_config(solver="hilbert", operator="mult", p=2.0, tol=1e-4))
+            execute(RunConfig(solver="hilbert", operator="mult", p=1.5))
+        rec = execute(RunConfig(solver="hilbert", operator="mult", p=2.0, tol=1e-4))
         assert rec.summary["converged"]
 
     def test_hilbert_defaults_to_p_two(self):
-        config = make_config("hilbert", "mult", tol=1e-3)
-        assert config["p"] == 2.0
-        assert make_config("zero", "mult")["p"] == 1.5
+        config = RunConfig("hilbert", "mult", tol=1e-3)
+        assert config.p == 2.0
+        assert RunConfig("zero", "mult").p == 1.5
         assert execute(config).summary["converged"]
 
     def test_jfixed_requires_dual_form_name(self):
         with pytest.raises(ValueError, match="-as-T"):
-            execute(make_config(solver="jfixed", operator="mult"))
+            execute(RunConfig(solver="jfixed", operator="mult"))
 
     def test_hammerstein_requires_dual_init(self):
         with pytest.raises(ValueError, match="init-dual"):
-            execute(make_config(solver="hammerstein", operator="example"))
+            execute(RunConfig(solver="hammerstein", operator="example"))
 
     def test_vi_requires_box(self):
         with pytest.raises(ValueError, match="--box"):
-            execute(make_config(solver="vi", operator="mult"))
+            execute(RunConfig(solver="vi", operator="mult"))
 
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="unknown target 'ones'"):
@@ -169,14 +172,14 @@ class TestConfigDispatch:
 
     def test_hammerstein_unknown_operator(self):
         with pytest.raises(ValueError, match="expects operator 'example' or 'kernel:<csv>'"):
-            execute(make_config(solver="hammerstein", operator="banana", init_dual="inv-tsin"))
+            execute(RunConfig(solver="hammerstein", operator="banana", init_dual="inv-tsin"))
 
     def test_hammerstein_kernel_file(self, tmp_path):
         t = np.linspace(0.0, 1.0, 101)
         path = tmp_path / "kernel.csv"
         np.savetxt(path, np.outer(t, t), delimiter=",")
         rec = execute(
-            make_config(
+            RunConfig(
                 solver="hammerstein",
                 operator=f"kernel:{path}",
                 init="inv-quad",
@@ -191,7 +194,7 @@ class TestConfigDispatch:
         np.savetxt(path, np.ones((11, 11)), delimiter=",")
         with pytest.raises(ValueError, match="grid"):
             execute(
-                make_config(
+                RunConfig(
                     solver="hammerstein",
                     operator=f"kernel:{path}",
                     init_dual="zero",
@@ -200,13 +203,13 @@ class TestConfigDispatch:
             )
 
     def test_vi_runs_inside_box(self):
-        rec = execute(make_config("vi", "mult", init="inv-quad", box=(-2.0, 2.0), tol=1e-4))
+        rec = execute(RunConfig("vi", "mult", init="inv-quad", box=(-2.0, 2.0), tol=1e-4))
         assert rec.summary["converged"]
 
     def test_zero_operator_damping_hand_values(self):
         # A = 0, constant start: x_{n+1} = (1 - alpha_n theta_n) x_n, and on
         # a 4-subinterval grid the residual is the plain coefficient gap
-        rec = execute(make_config("zero", "zero-op", init="const:1", grid=4, max_iter=5, tol=1e-12))
+        rec = execute(RunConfig("zero", "zero-op", init="const:1", grid=4, max_iter=5, tol=1e-12))
         sched_alpha = lambda n: min(1.0 / (n + 1.0), 1.0 / math.log(math.log(n + 16.0)))
         sched_theta = lambda n: 1.0 / math.log(math.log(n + 16.0))
         c, expected = 1.0, []
@@ -276,7 +279,7 @@ class TestMainEntryPoint:
         assert info.value.code == 0
 
     def test_example_two_defaults_to_the_paper_tol(self, capsys):
-        assert example_config(2)["tol"] == 1e-2
+        assert example_config(2).tol == 1e-2
         assert main(["run-example", "2"]) == 0
         assert json.loads(capsys.readouterr().out.strip())["nfe"] == 584
 
@@ -370,9 +373,12 @@ class TestMainEntryPoint:
         (["vi", "--operator", "mult", "--box=-1,1,2"], "--box"),
         (["zero", "--operator", "mult", "--init", "const:abc"], "--init"),
         (["hammerstein", "--operator", "example", "--init-dual", "const:abc"], "--init-dual"),
+        (["zero", "--operator", "mult", "--init", "csv:{tmp}/missing.csv"], "--init"),
+        (["hammerstein", "--operator", "kernel:{tmp}/bad.csv"], "--operator"),
     ])
-    def test_conversion_error_names_the_flag(self, capsys, argv, flag):
-        assert main(argv) == 1
+    def test_conversion_error_names_the_flag(self, capsys, tmp_path, argv, flag):
+        (tmp_path / "bad.csv").write_text("1,2\n3,abc\n")
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"lpmono: error: {flag}")
@@ -467,26 +473,26 @@ COMMON = dict(p=1.25, grid=20, tol=1e-4, max_iter=77, gamma=0.5, theta_offset=9,
               theta_base=3.0, init="exp")
 
 # (argv with no optional flag, its expected config builder, the subcommand's
-# own optional flags, and what they set)
+# own optional flags, and what they set; given after the common flags, they win)
 SUBCOMMANDS = {
     "example-1": (["run-example", "1"], lambda **kw: example_config(1, **kw), [], {}),
     "example-2": (["run-example", "2"], lambda **kw: example_config(2, **kw), [], {}),
     "example-3": (["run-example", "3"], lambda **kw: example_config(3, **kw), [], {}),
-    "zero": (["zero", "--operator", "mult"], lambda **kw: make_config("zero", "mult", **kw),
+    "zero": (["zero", "--operator", "mult"], lambda **kw: RunConfig("zero", "mult", **kw),
              [], {}),
-    "hilbert": (["hilbert", "--operator", "mult"],
-                lambda **kw: make_config("hilbert", "mult", **{"p": 2.0, **kw}), [], {}),
-    "min": (["min"], lambda **kw: make_config("min", "norm-subgrad", **kw),
+    "hilbert": (["hilbert", "--operator", "mult"], lambda **kw: RunConfig("hilbert", "mult", **kw),
+                ["--p", "2"], {"p": 2.0}),
+    "min": (["min"], lambda **kw: RunConfig("min", "norm-subgrad", **kw),
             ["--operator", "norm-subgrad", "--subgrad-variant", "duality"],
             {"subgrad_variant": "duality"}),
     "vi": (["vi", "--operator", "mult"],
-           lambda **kw: make_config("vi", "mult", **{"box": (-2.0, 2.0), **kw}),
+           lambda **kw: RunConfig("vi", "mult", **{"box": (-2.0, 2.0), **kw}),
            ["--box=-2,3", "--vi-magnitude", "0.5"], {"box": (-2.0, 3.0), "vi_magnitude": 0.5}),
     "jfixed": (["jfixed", "--operator", "mult-as-T"],
-               lambda **kw: make_config("jfixed", "mult-as-T", **kw), [], {}),
+               lambda **kw: RunConfig("jfixed", "mult-as-T", **kw), [], {}),
     "hammerstein": (["hammerstein", "--operator", "example"],
-                    lambda **kw: make_config("hammerstein", "example",
-                                             **{"init_dual": "inv-tsin", **kw}),
+                    lambda **kw: RunConfig("hammerstein", "example",
+                                           **{"init_dual": "inv-tsin", **kw}),
                     ["--init-dual", "exp-neg"], {"init_dual": "exp-neg"}),
 }
 
@@ -501,12 +507,107 @@ class TestFlagsToConfig:
     def test_every_flag(self, monkeypatch, tmp_path, name):
         argv, expected, own_argv, own = SUBCOMMANDS[name]
         out = ["--out", str(tmp_path / "run.json"), "--format", "json"]
-        config = captured_config(monkeypatch, argv + own_argv + COMMON_ARGV + out)
-        assert config == expected(**own, **COMMON)
+        config = captured_config(monkeypatch, argv + COMMON_ARGV + own_argv + out)
+        assert config == expected(**{**COMMON, **own})
         assert list(tmp_path.iterdir()) == []
+
+    def test_hilbert_refuses_another_p_before_execute(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr("lpmono.cli.execute", seen.append)
+        assert main(["hilbert", "--operator", "mult", "--p", "1.25"]) == 1
+        assert seen == []
+        assert "requires --p 2" in capsys.readouterr().err
 
     def test_ladder_solves_to_its_tightest_rung(self, monkeypatch):
         argv = ["run-example", "3", "--ladder", "--ladder-min-tol", "1e-6"]
         config = captured_config(monkeypatch, argv)
         assert config == example_config(3, tol=1e-6)
-        assert config["tol"] == 1e-6
+        assert config.tol == 1e-6
+
+
+OPERATORS = {"zero": "mult", "hilbert": "mult", "min": "norm-subgrad", "vi": "mult",
+             "jfixed": "mult-as-T", "hammerstein": "example"}
+REQUIRED = {"vi": {"box": (-2.0, 2.0)}, "hammerstein": {"init_dual": "inv-tsin"}}
+# each solver-specific field, the one solver that reads it, and a value other than its default
+SOLVER_FIELDS = {"init_dual": ("hammerstein", "exp-neg"), "subgrad_variant": ("min", "duality"),
+                 "box": ("vi", (0.0, 1.0)), "vi_magnitude": ("vi", 0.5)}
+
+
+@pytest.fixture(scope="module")
+def stored_config():
+    """The record example 1 to 1e-3 stores."""
+    return execute(example_config(1, tol=1e-3)).config
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("execute went past building its config")
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda c: {**c, "gama": 5}, TypeError, "'gama'"),
+        (lambda c: {**c, "box": [0, 1]}, ValueError, "^box is read by solver 'vi' only, not 'zero'$"),
+        (lambda c: {k: v for k, v in c.items() if k != "gamma"}, ValueError, "missing gamma$"),
+        (lambda c: {**c, "p": "1.5"}, ValueError, "^p must be a number, got '1.5'$"),
+        (lambda c: {**c, "divergence_guard": 1e-3}, ValueError,
+         "^divergence_guard is derived by the run and cannot be set: got 0.001"),
+        (lambda c: {**c, "schedule": {**c["schedule"], "n0": 17}}, ValueError,
+         "^schedule is derived by the run"),
+    ], ids=["unknown-key", "unread-field", "missing-key", "string-p", "guard", "schedule"])
+    def test_stored_record_probes_fail_when_built(self, monkeypatch, stored_config, change,
+                                                  error, message):
+        monkeypatch.setattr("lpmono.cli.LpContext", _unreachable)
+        with pytest.raises(error, match=message):
+            execute(change(stored_config))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gama": 5}, "'gama'"),
+        ({"divergence_guard": 1e-3}, "'divergence_guard'"),
+    ])
+    def test_constructor_refuses_unknown_and_derived_keys(self, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            RunConfig("zero", "mult", **kwargs)
+
+    def test_fields_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunConfig("zero", "mult").divergence_guard = 1e-3
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p", "1.5", "p must be a number"),
+        ("tol", True, "tol must be a number"),
+        ("gamma", None, "gamma must be a number"),
+        ("box", (0.0, "1"), "box must be a number"),
+        ("box", (0.0, 1.0, 2.0), "box must be a pair"),
+    ])
+    def test_numeric_fields_refuse_other_types(self, field, value, message):
+        solver = "vi" if field == "box" else "zero"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            RunConfig(solver, "mult", **{**REQUIRED.get(solver, {}), field: value})
+
+    def test_numbers_stored_as_python_floats_and_box_as_a_tuple(self):
+        config = RunConfig("vi", "mult", p=np.float64(1.25), gamma=2, box=[np.int64(-1), 2])
+        assert [(x, type(x)) for x in (config.p, config.gamma, *config.box)] == [
+            (1.25, float), (2.0, float), (-1.0, float), (2.0, float)]
+
+    @pytest.mark.parametrize("field", list(SOLVER_FIELDS))
+    @pytest.mark.parametrize("solver", list(OPERATORS))
+    def test_solver_specific_fields(self, solver, field):
+        reader, value = SOLVER_FIELDS[field]
+        kwargs = {**REQUIRED.get(solver, {}), field: value}
+        if solver == reader:
+            assert getattr(RunConfig(solver, OPERATORS[solver], **kwargs), field) == value
+        else:
+            with pytest.raises(ValueError, match=f"^{field} is read by solver '{reader}' only"):
+                RunConfig(solver, OPERATORS[solver], **kwargs)
+
+    @pytest.mark.parametrize("solver", list(OPERATORS))
+    def test_stored_record_reruns_bit_for_bit(self, solver, tmp_path):
+        first = execute(RunConfig(solver, OPERATORS[solver], tol=1e-3, **REQUIRED.get(solver, {})))
+        residual = first.trace.columns["residual"].tobytes()
+        export_json(first, tmp_path / "run.json")
+        exported = json.loads((tmp_path / "run.json").read_text())["config"]
+        for stored in (first.config, exported):
+            again = execute(stored)
+            assert again.config == first.config
+            assert again.trace.nfe == first.trace.nfe
+            assert again.trace.columns["residual"].tobytes() == residual

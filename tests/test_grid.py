@@ -177,4 +177,6 @@ class TestLpContext:
     def test_float_m_rejected_at_construction(self):
         with pytest.raises(ValueError, match="M must be an integer"):
             LpContext(1.5, 100.0)
+        with pytest.raises(ValueError, match="M must be an integer"):
+            LpContext(1.5, True)
         assert LpContext(1.5, np.int64(100)).M == 100

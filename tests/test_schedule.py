@@ -117,6 +117,8 @@ class TestDefaultSchedule:
     def test_theta_offset_must_be_an_integer(self):
         with pytest.raises(ValueError, match="theta_offset must be an integer"):
             default_schedule(1.0, theta_offset=16.5)
+        with pytest.raises(ValueError, match="theta_offset must be an integer"):
+            default_schedule(1.0, theta_offset=True)
         n0 = default_schedule(1.0, theta_offset=np.int64(17)).meta["n0"]
         assert (n0, type(n0)) == (17, int)
 

@@ -451,6 +451,8 @@ class TestGuards:
     def test_float_max_iter_rejected_at_construction(self, ctx):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             config(ctx, max_iter=1e3)
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            config(ctx, max_iter=True)  # bool is an int subclass, not a step count
         assert config(ctx, max_iter=np.int64(10)).max_iter == 10
 
     @pytest.mark.parametrize("field", ["tol", "divergence_guard"])

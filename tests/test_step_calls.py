@@ -31,7 +31,7 @@ from lpmono import (
     mult_op,
     solve_hammerstein,
 )
-from lpmono.cli import example_config, execute, make_config
+from lpmono.cli import RunConfig, example_config, execute
 
 ENGINE_MODULES = (lpmono.solver, lpmono.duality, lpmono.grid, lpmono.operators)
 UNSTOPPED = dict(tol=1e-300)  # no run below stops on its residual
@@ -99,12 +99,12 @@ CASES = {
     "zero-example-1": lambda k: execute(example_config(1, max_iter=k, **UNSTOPPED)),
     "min-example-2": lambda k: execute(example_config(2, max_iter=k, **UNSTOPPED)),
     "min-duality": lambda k: execute(
-        make_config("min", "norm-subgrad", subgrad_variant="duality", max_iter=k, **UNSTOPPED)),
+        RunConfig("min", "norm-subgrad", subgrad_variant="duality", max_iter=k, **UNSTOPPED)),
     "hammerstein-example-3": lambda k: execute(example_config(3, max_iter=k, **UNSTOPPED)),
-    "hilbert": lambda k: execute(make_config("hilbert", "mult", p=2.0, max_iter=k, **UNSTOPPED)),
+    "hilbert": lambda k: execute(RunConfig("hilbert", "mult", p=2.0, max_iter=k, **UNSTOPPED)),
     "vi-box": lambda k: execute(
-        make_config("vi", "mult", box=(-2.0, 2.0), max_iter=k, **UNSTOPPED)),
-    "jfixed-mult-as-T": lambda k: execute(make_config("jfixed", "mult-as-T", max_iter=k, **UNSTOPPED)),
+        RunConfig("vi", "mult", box=(-2.0, 2.0), max_iter=k, **UNSTOPPED)),
+    "jfixed-mult-as-T": lambda k: execute(RunConfig("jfixed", "mult-as-T", max_iter=k, **UNSTOPPED)),
     "hammerstein-kernel": kernel_hammerstein,
 }
 
