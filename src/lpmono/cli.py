@@ -8,10 +8,11 @@ Exposes the generic solvers (``zero``, ``hilbert``, ``min``, ``vi``,
 2. minimization of the p-norm via its subgradient,
 3. the Hammerstein system with F = (t+1)u and K = identity.
 
-Every run is described by a :class:`RunConfig`, checked when it is built;
-its record, ``asdict`` of it plus the schedule's meta, is what a run stores
-and exports, and rerunning that record reproduces the iteration count and
-residuals bit for bit.
+Every run is described by a :class:`RunConfig`: its types, names and
+solver fields are checked when it is built, its ranges by the library
+constructors before any step.  Its record, ``asdict`` of it plus the
+schedule's meta, is what a run stores and exports, and rerunning that
+record reproduces the iteration count and residuals bit for bit.
 A tolerance ladder is one run to its tightest rung, cut into a prefix
 per rung.  Exit status: 0 when every run converged, 2 when some run
 stopped on max_iter, 1 on errors.
@@ -23,7 +24,6 @@ import argparse
 import functools
 import json
 import math
-import numbers
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .duality import ProductPoint
-from .grid import GridFunction, LpContext
+from .grid import GridFunction, LpContext, _number
 from .io import RunRecord, export_csv, export_json, export_loglog, summarize
 from .operators import (
     SUBGRADIENT_VARIANTS,
@@ -61,11 +61,11 @@ SOLVERS = ("zero", "hilbert", "hammerstein", "min", "vi", "jfixed")
 
 _CATALOG = {"mult": mult_op, "zero-op": zero_op}
 
-# each example's fields over init="inv-quad" and target="zero"
+# each example's fields over target="zero"
 _EXAMPLES = {
     1: dict(solver="zero", operator="mult"),
     2: dict(solver="min", operator="norm-subgrad", tol=1e-2),
-    3: dict(solver="hammerstein", operator="example", init_dual="inv-tsin"),
+    3: dict(solver="hammerstein", operator="example"),
 }
 
 EXAMPLE_LADDERS = {
@@ -109,25 +109,28 @@ _READ_BY = {"init_dual": "hammerstein", "subgrad_variant": "min", "box": "vi", "
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run, checked when built; :func:`execute` reads nothing else.
+    """One run and its defaults; :func:`execute` reads nothing else.
 
-    ``asdict`` of it, with the schedule's meta, is the record a run stores
-    and exports.  ``divergence_guard`` is recorded but cannot be set.
+    Types, names and solver-specific fields are checked when it is built.
+    Ranges (``p`` in (1, 2], a finite ``tol``, ``lo < hi``, ...) are
+    checked by the constructors ``execute`` builds from it, before any
+    step.  ``asdict`` of it, with the schedule's meta, is the record a run
+    stores and exports.  ``divergence_guard`` is recorded but cannot be set.
     """
 
     solver: str
     operator: str
     init: str = "inv-quad"
-    init_dual: str | None = None
+    init_dual: str | None = None  # inv-tsin for hammerstein
     p: float | None = None  # 2 for hilbert, 3/2 otherwise
     grid: int = 100
-    tol: float = 1e-6
-    max_iter: int = 1_000_000
+    tol: float = SolveConfig.tol
+    max_iter: int = SolveConfig.max_iter
     gamma: float = 1.0
     theta_offset: int = 16
     theta_base: float = math.e
     subgrad_variant: str = "literal"
-    box: tuple[float, float] | None = None
+    box: tuple[float, float] | None = None  # (-2, 2) for vi
     vi_magnitude: float = 1.0
     target: str | None = None
     divergence_guard: float = field(default=SolveConfig.divergence_guard, init=False)
@@ -139,6 +142,10 @@ class RunConfig:
             raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
         if self.p is None:
             put("p", 2.0 if solver == "hilbert" else 1.5)
+        if self.init_dual is None and solver == "hammerstein":
+            put("init_dual", "inv-tsin")
+        if self.box is None and solver == "vi":
+            put("box", (-2.0, 2.0))
         for name in ("grid", "max_iter", "theta_offset"):
             put(name, _number(name, getattr(self, name), int))
         for name in ("p", "tol", "gamma", "theta_base", "vi_magnitude"):
@@ -154,10 +161,6 @@ class RunConfig:
                 raise ValueError(f"{name} is read by solver {reader!r} only, not {solver!r}")
         if solver == "hilbert" and self.p != 2.0:
             raise ValueError("solver 'hilbert' requires --p 2")
-        if solver == "vi" and self.box is None:
-            raise ValueError("solver 'vi' needs --box for the bounds")
-        if solver == "hammerstein" and self.init_dual is None:
-            raise ValueError("solver 'hammerstein' needs --init-dual for the dual start")
         if self.target not in (None, "zero"):
             raise ValueError(f"unknown target {self.target!r}; only 'zero' is supported")
         if solver == "min" and operator != "norm-subgrad":
@@ -172,15 +175,6 @@ class RunConfig:
             base = operator.removesuffix("-as-T") if solver == "jfixed" else operator
             if base not in _CATALOG:
                 raise ValueError(f"unknown operator {base!r}; catalog: {', '.join(_CATALOG)}")
-
-
-def _number(name: str, value, kind: type):
-    """``value`` as a Python ``kind``; a str, a bool or a fractional int is refused by name."""
-    ok = (int, np.integer) if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, ok):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return kind(value)
 
 
 def _from_record(record: Mapping) -> RunConfig:
@@ -259,7 +253,7 @@ def example_config(which: int, **overrides) -> RunConfig:
     """Config for one bundled example; overrides replace any field."""
     if which not in _EXAMPLES:
         raise ValueError(f"example must be one of {list(_EXAMPLES)}, got {which}")
-    return RunConfig(**{"init": "inv-quad", "target": "zero", **_EXAMPLES[which], **overrides})
+    return RunConfig(**{"target": "zero", **_EXAMPLES[which], **overrides})
 
 
 def run_example(
@@ -343,10 +337,10 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--operator", required=True)
         if name == "vi":
-            sp.add_argument("--box", default="-2,2", help="nodewise bounds lo,hi (use --box=-2,2)")
+            sp.add_argument("--box", help="nodewise bounds lo,hi (use --box=-2,2)")
             sp.add_argument("--vi-magnitude", type=float)
         if name == "hammerstein":
-            sp.add_argument("--init-dual", default="inv-tsin", help="dual-side starting point")
+            sp.add_argument("--init-dual", help="dual-side starting point")
         _add_common_flags(sp)
     return parser
 

@@ -22,10 +22,6 @@ import numpy as np
 
 from .grid import GridFunction, LpContext, abs_norm, lp_norm, pairing, trapezoid_weights, weighted_sum
 
-_XU_RESIDUAL_TOL = 1e-12  # |t_p equation| accepted at the root
-_XU_MAX_ITER = 200  # bisection steps for t_p
-
-
 class NoRootError(ValueError):
     """The t_p equation has no root on (0, 1] for the requested exponent."""
 
@@ -105,42 +101,29 @@ class XuConstants:
     c_p: float
 
 
-def _tp_equation(t: float, p: float) -> float:
-    return (p - 1.0) * t ** (p - 1.0) + (p - 1.0) * t ** (p - 2.0) - 1.0
-
-
 def xu_constants(p: float) -> XuConstants:
     """Solve (p-1) t^{p-1} + (p-1) t^{p-2} - 1 = 0 on (0, 1] by bisection.
 
-    The equation has a root on (0, 1] exactly for 1 < p <= 3/2 (at p = 3/2
-    the root sits at t = 1; for larger p the left side stays positive).
-    Raises :class:`NoRootError` when the bracketing sign conditions fail.
-    From the root, c_p = (1 + t_p^{p-1}) (1 + t_p)^{-(p-1)}.
+    On (0, 1] the left side falls from +inf to 2p - 3 for p <= 3/2, so the
+    root exists (t = 1 at p = 3/2); for larger p it stays above its
+    minimum ((2-p)/(p-1))^{p-2} - 1 > 0 and :class:`NoRootError` is raised.
+    t_p is the right end of a bracket of two adjacent floats.  From the
+    root, c_p = (1 + t_p^{p-1}) (1 + t_p)^{-(p-1)}.
     """
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
-    lo, hi = 1e-12, 1.0
-    f_lo, f_hi = _tp_equation(lo, p), _tp_equation(hi, p)
-    if abs(f_hi) <= _XU_RESIDUAL_TOL:
-        t_p = hi
-    elif f_lo * f_hi > 0.0:
+    LpContext(p)  # p is a number in (1, 2]
+    if p > 1.5:
         raise NoRootError(
             f"t_p equation has no sign change on (0, 1] for p = {p}; "
             "the root exists only for 1 < p <= 1.5"
         )
-    else:
-        for _ in range(_XU_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            f_mid = _tp_equation(mid, p)
-            if abs(f_mid) <= _XU_RESIDUAL_TOL or hi - lo < 4.0 * np.finfo(float).eps * mid:
-                break
-            if f_lo * f_mid <= 0.0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        t_p = 0.5 * (lo + hi)
-        if abs(_tp_equation(t_p, p)) > _XU_RESIDUAL_TOL:
-            raise NoRootError(f"bisection did not reach residual {_XU_RESIDUAL_TOL} for p = {p}")
+    g = lambda t: (p - 1.0) * t ** (p - 1.0) + (p - 1.0) * t ** (p - 2.0) - 1.0
+    lo, hi = 0.0, 1.0  # g(0+) = +inf, g(1) = 2p - 3 <= 0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if g(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t_p = hi
     c_p = (1.0 + t_p ** (p - 1.0)) * (1.0 + t_p) ** (-(p - 1.0))
     return XuConstants(t_p=t_p, c_p=c_p)
 

@@ -9,11 +9,21 @@ hold to machine precision in the discrete norms.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+
+
+def _number(name: str, value, kind: type):
+    """``value`` as a Python ``kind``; a str, a bool or a fractional int is refused by name."""
+    ok = (int, np.integer) if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, ok):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
 
 
 class GridMismatchError(ValueError):
@@ -138,9 +148,9 @@ class LpContext:
     M: int = 100
 
     def __post_init__(self) -> None:
-        if not 1.0 < self.p <= 2.0:
+        if not 1.0 < _number("p", self.p, float) <= 2.0:
             raise ValueError(f"p must lie in (1, 2], got {self.p}")
-        if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)) or self.M < 2:
+        if _number("M", self.M, int) < 2:
             raise ValueError(f"M must be an integer >= 2, got {self.M!r}")
 
     @property

@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .duality import ProductPoint, duality_into
-from .grid import GridFunction, LpContext, abs_norm, nodes, pairing, random_smooth, trapezoid_weights
+from .grid import (GridFunction, LpContext, _number, abs_norm, nodes, pairing, random_smooth,
+                   trapezoid_weights)
 
 SUBGRADIENT_VARIANTS = ("literal", "duality")
 _FEAS_TOL = 1e-12  # box violation that vi_normal_cone_selection still accepts
@@ -33,9 +34,10 @@ class InfeasiblePointError(ValueError):
 class MonotoneOp:
     """A single-valued map of grid functions, semantically E -> E*.
 
-    ``fn`` maps a GridFunction to a GridFunction, or ``kernel(v, out)``
-    nodal values to nodal values, written into ``out`` (an array like v,
-    not v) or an array of its own; the operator maps each type to itself.
+    Exactly one of ``fn`` and ``kernel`` is given: ``fn`` maps a
+    GridFunction to a GridFunction, ``kernel(v, out)`` nodal values to
+    nodal values, written into ``out`` (an array like v, not v) or an
+    array of its own; the operator maps each type to itself.
     ``monotonicity_warning`` carries the message of a failed
     sampled-monotonicity check (see :func:`hammerstein_kernel_op`).
     """
@@ -44,6 +46,10 @@ class MonotoneOp:
     name: str = "operator"
     monotonicity_warning: str | None = None
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.fn is None) == (self.kernel is None):
+            raise TypeError(f"operator {self.name!r} takes exactly one of fn and kernel")
 
     def __call__(self, x, out=None):
         if self.kernel is None:  # a map of grid functions, also on nodal values
@@ -218,6 +224,7 @@ def _box_selection(box, magnitude: float) -> Callable[[np.ndarray, np.ndarray], 
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     if not np.all(lo < hi):
         raise ValueError("box requires lo < hi nodewise")
+    magnitude = _number("magnitude", magnitude, float)
     if not (math.isfinite(magnitude) and magnitude >= 0.0):
         raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")
 

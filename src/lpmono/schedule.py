@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from .grid import _number
+
 _BLOCK_I_MAX = 8  # i = 9 would sum 10^10 terms, about 6 minutes
 
 _CHUNK = 1 << 20  # chunk length for prefix sums over large blocks
@@ -67,8 +69,9 @@ def default_schedule(
     n(i) = i^i.  Offset and base are recorded in ``meta`` and may be
     varied for sensitivity studies.
     """
-    if isinstance(theta_offset, bool) or not isinstance(theta_offset, (int, np.integer)):
-        raise ValueError(f"theta_offset must be an integer, got {theta_offset!r}")
+    gamma = _number("gamma", gamma, float)
+    theta_offset = _number("theta_offset", theta_offset, int)
+    theta_log_base = _number("theta_log_base", theta_log_base, float)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if not (math.isfinite(theta_log_base) and theta_log_base > 1.0):
@@ -102,12 +105,12 @@ def default_schedule(
     meta = {
         "alpha": "min(1/(n+1), gamma*theta(n))",
         "theta": "1/log_b(log_b(n + n0))",
-        "n0": int(theta_offset),
-        "log_base": float(theta_log_base),
-        "gamma": float(gamma),
+        "n0": theta_offset,
+        "log_base": theta_log_base,
+        "gamma": gamma,
         "block": "i^i",
     }
-    return ParamSchedule(alpha=alpha, theta=theta, gamma=float(gamma), block=block, meta=meta)
+    return ParamSchedule(alpha=alpha, theta=theta, gamma=gamma, block=block, meta=meta)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from .grid import (
     GridMismatchError,
     LpContext,
     NonFiniteValuesError,
+    _number,
     lp_norm,
     trapezoid_weights,
     weighted_sum,
@@ -89,12 +90,11 @@ class SolveConfig:
 
     def __post_init__(self) -> None:
         for name in ("tol", "divergence_guard"):
-            value = getattr(self, name)
+            value = _number(name, getattr(self, name), float)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        n = self.max_iter
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {n!r}")
+        if _number("max_iter", self.max_iter, int) < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

@@ -158,13 +158,20 @@ class TestConfigDispatch:
         with pytest.raises(ValueError, match="-as-T"):
             execute(RunConfig(solver="jfixed", operator="mult"))
 
-    def test_hammerstein_requires_dual_init(self):
-        with pytest.raises(ValueError, match="init-dual"):
-            execute(RunConfig(solver="hammerstein", operator="example"))
+    def test_hammerstein_defaults_to_dual_init_inv_tsin(self):
+        assert RunConfig("hammerstein", "example").init_dual == "inv-tsin"
+        assert RunConfig("zero", "mult").init_dual is None
 
-    def test_vi_requires_box(self):
-        with pytest.raises(ValueError, match="--box"):
-            execute(RunConfig(solver="vi", operator="mult"))
+    def test_vi_defaults_to_box_minus_two_two(self):
+        assert RunConfig("vi", "mult") == RunConfig("vi", "mult", box=(-2.0, 2.0))
+        assert RunConfig("zero", "mult").box is None
+
+    @pytest.mark.parametrize("solver, operator", [("vi", "mult"), ("hammerstein", "example")])
+    def test_cli_and_library_store_the_same_defaults(self, monkeypatch, solver, operator):
+        stored = []
+        monkeypatch.setattr("lpmono.cli._emit", lambda rec, *args: stored.append(rec.config))
+        assert main([solver, "--operator", operator]) == 0
+        assert stored == [execute(RunConfig(solver, operator)).config]
 
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="unknown target 'ones'"):
@@ -485,14 +492,12 @@ SUBCOMMANDS = {
     "min": (["min"], lambda **kw: RunConfig("min", "norm-subgrad", **kw),
             ["--operator", "norm-subgrad", "--subgrad-variant", "duality"],
             {"subgrad_variant": "duality"}),
-    "vi": (["vi", "--operator", "mult"],
-           lambda **kw: RunConfig("vi", "mult", **{"box": (-2.0, 2.0), **kw}),
+    "vi": (["vi", "--operator", "mult"], lambda **kw: RunConfig("vi", "mult", **kw),
            ["--box=-2,3", "--vi-magnitude", "0.5"], {"box": (-2.0, 3.0), "vi_magnitude": 0.5}),
     "jfixed": (["jfixed", "--operator", "mult-as-T"],
                lambda **kw: RunConfig("jfixed", "mult-as-T", **kw), [], {}),
     "hammerstein": (["hammerstein", "--operator", "example"],
-                    lambda **kw: RunConfig("hammerstein", "example",
-                                           **{"init_dual": "inv-tsin", **kw}),
+                    lambda **kw: RunConfig("hammerstein", "example", **kw),
                     ["--init-dual", "exp-neg"], {"init_dual": "exp-neg"}),
 }
 
@@ -527,7 +532,6 @@ class TestFlagsToConfig:
 
 OPERATORS = {"zero": "mult", "hilbert": "mult", "min": "norm-subgrad", "vi": "mult",
              "jfixed": "mult-as-T", "hammerstein": "example"}
-REQUIRED = {"vi": {"box": (-2.0, 2.0)}, "hammerstein": {"init_dual": "inv-tsin"}}
 # each solver-specific field, the one solver that reads it, and a value other than its default
 SOLVER_FIELDS = {"init_dual": ("hammerstein", "exp-neg"), "subgrad_variant": ("min", "duality"),
                  "box": ("vi", (0.0, 1.0)), "vi_magnitude": ("vi", 0.5)}
@@ -582,7 +586,7 @@ class TestRunConfig:
     def test_numeric_fields_refuse_other_types(self, field, value, message):
         solver = "vi" if field == "box" else "zero"
         with pytest.raises(ValueError, match=f"^{message}"):
-            RunConfig(solver, "mult", **{**REQUIRED.get(solver, {}), field: value})
+            RunConfig(solver, "mult", **{field: value})
 
     def test_numbers_stored_as_python_floats_and_box_as_a_tuple(self):
         config = RunConfig("vi", "mult", p=np.float64(1.25), gamma=2, box=[np.int64(-1), 2])
@@ -593,16 +597,15 @@ class TestRunConfig:
     @pytest.mark.parametrize("solver", list(OPERATORS))
     def test_solver_specific_fields(self, solver, field):
         reader, value = SOLVER_FIELDS[field]
-        kwargs = {**REQUIRED.get(solver, {}), field: value}
         if solver == reader:
-            assert getattr(RunConfig(solver, OPERATORS[solver], **kwargs), field) == value
+            assert getattr(RunConfig(solver, OPERATORS[solver], **{field: value}), field) == value
         else:
             with pytest.raises(ValueError, match=f"^{field} is read by solver '{reader}' only"):
-                RunConfig(solver, OPERATORS[solver], **kwargs)
+                RunConfig(solver, OPERATORS[solver], **{field: value})
 
     @pytest.mark.parametrize("solver", list(OPERATORS))
     def test_stored_record_reruns_bit_for_bit(self, solver, tmp_path):
-        first = execute(RunConfig(solver, OPERATORS[solver], tol=1e-3, **REQUIRED.get(solver, {})))
+        first = execute(RunConfig(solver, OPERATORS[solver], tol=1e-3))
         residual = first.trace.columns["residual"].tobytes()
         export_json(first, tmp_path / "run.json")
         exported = json.loads((tmp_path / "run.json").read_text())["config"]

@@ -2,6 +2,8 @@
 two-point inequality constants, checked against their defining identities
 and the geometry inequalities of L_p with 1 < p <= 2."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -222,7 +224,7 @@ class TestGeometryInequalities:
 class TestXuConstants:
     def test_p_three_halves_root_at_one(self):
         c = xu_constants(1.5)
-        assert c.t_p == pytest.approx(1.0, abs=1e-12)
+        assert c.t_p == 1.0
         assert c.c_p == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.05, 1.1, 1.2, 1.3, 1.4, 1.49])
@@ -232,6 +234,12 @@ class TestXuConstants:
         assert abs(residual) <= 1e-12
         assert 0.0 < c.t_p < 1.0
         assert c.c_p >= 1.0
+
+    @pytest.mark.parametrize("p", [1.05, 1.1, 1.2, 1.3, 1.4, 1.49, 1.5])
+    def test_root_bracketed_to_one_ulp(self, p):
+        g = lambda t: (p - 1) * t ** (p - 1) + (p - 1) * t ** (p - 2) - 1.0
+        t_p = xu_constants(p).t_p
+        assert g(math.nextafter(t_p, 0.0)) >= 0.0 >= g(t_p)
 
     def test_root_increases_with_p(self):
         roots = [xu_constants(p).t_p for p in (1.1, 1.2, 1.3, 1.4, 1.5)]

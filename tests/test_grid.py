@@ -9,10 +9,14 @@ from lpmono import (
     GridFunction,
     GridMismatchError,
     LpContext,
+    MonotoneOp,
     NonFiniteValuesError,
+    SolveConfig,
+    default_schedule,
     lp_norm,
     pairing,
     random_smooth,
+    solve_vi,
 )
 from lpmono.grid import trapezoid_integral, trapezoid_weights
 
@@ -180,3 +184,28 @@ class TestLpContext:
         with pytest.raises(ValueError, match="M must be an integer"):
             LpContext(1.5, True)
         assert LpContext(1.5, np.int64(100)).M == 100
+
+
+def _vi_with_magnitude(ctx, magnitude):
+    never = MonotoneOp(kernel=lambda v, out: pytest.fail("a step ran"), name="never")
+    cfg = SolveConfig(ctx, default_schedule())
+    return solve_vi(never, (-2.0, 2.0), GridFunction.zeros(ctx.M), cfg, magnitude=magnitude)
+
+
+class TestNumberRule:
+    """Every constructor refuses a str or a bool where a number belongs, naming the value."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda ctx: LpContext(p="1.5"), "p must be a number, got '1.5'"),
+        (lambda ctx: SolveConfig(ctx, default_schedule(), tol=True), "tol must be a number, got True"),
+        (lambda ctx: default_schedule(gamma=True), "gamma must be a number, got True"),
+        (lambda ctx: SolveConfig(ctx, default_schedule(), divergence_guard="1e6"),
+         "divergence_guard must be a number, got '1e6'"),
+        (lambda ctx: default_schedule(theta_log_base="10"),
+         "theta_log_base must be a number, got '10'"),
+        (lambda ctx: _vi_with_magnitude(ctx, True), "magnitude must be a number, got True"),
+    ], ids=["LpContext-p", "SolveConfig-tol", "schedule-gamma", "SolveConfig-guard",
+            "schedule-log-base", "solve_vi-magnitude"])
+    def test_probe_fails_when_built(self, ctx, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(ctx)

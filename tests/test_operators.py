@@ -10,6 +10,7 @@ from lpmono import (
     GridFunction,
     InfeasiblePointError,
     LpContext,
+    MonotoneOp,
     NonFiniteValuesError,
     ProductPoint,
     SolveConfig,
@@ -57,6 +58,15 @@ def test_overflowing_input_warns_nothing(ctx):
             norm_subgradient_op(ctx, "duality")(x)
         with pytest.raises(NonFiniteValuesError):
             j_pseudo_from_monotone(mult_op(), ctx)(x)
+
+
+@pytest.mark.parametrize("maps, name", [
+    ({}, "empty"),
+    ({"fn": lambda x: x, "kernel": lambda v, out: v}, "both"),
+], ids=["neither", "both"])
+def test_monotone_op_takes_exactly_one_map(maps, name):
+    with pytest.raises(TypeError, match=f"^operator '{name}' takes exactly one of fn and kernel$"):
+        MonotoneOp(name=name, **maps)
 
 
 class TestMultOp:
