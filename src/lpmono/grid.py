@@ -148,9 +148,11 @@ class LpContext:
     M: int = 100
 
     def __post_init__(self) -> None:
-        if not 1.0 < _number("p", self.p, float) <= 2.0:
+        object.__setattr__(self, "p", _number("p", self.p, float))
+        object.__setattr__(self, "M", _number("M", self.M, int))
+        if not 1.0 < self.p <= 2.0:
             raise ValueError(f"p must lie in (1, 2], got {self.p}")
-        if _number("M", self.M, int) < 2:
+        if self.M < 2:
             raise ValueError(f"M must be an integer >= 2, got {self.M!r}")
 
     @property
@@ -203,25 +205,35 @@ def pairing(f: GridFunction, g: GridFunction) -> float:
     return weighted_sum(f.values * g.values, trapezoid_weights(f.M))
 
 
-def random_smooth(rng: np.random.Generator, M: int, scale: float = 1.0) -> GridFunction:
-    """A random smooth function with sup-norm roughly in (0.1, 1) * scale.
-
-    Built from a fixed low-order polynomial/trigonometric basis with
-    normal coefficients; used by sampled-monotonicity checks and tests.
-    """
+def _smooth_basis(M: int) -> np.ndarray:
+    """sin 2 pi t, cos pi t and sin 3 pi t at the nodes, shape (3, M+1): the rows of
+    :func:`_smooth_values` that are not polynomials in t."""
     t = nodes(M)
-    c = rng.standard_normal(6)
-    vals = (
-        c[0]
-        + c[1] * t
-        + c[2] * t * t
-        + c[3] * np.sin(2.0 * np.pi * t)
-        + c[4] * np.cos(np.pi * t)
-        + c[5] * np.sin(3.0 * np.pi * t)
-    )
-    peak = float(np.max(np.abs(vals)))
+    b = np.empty((3, M + 1))
+    for row, k, fn in zip(b, (2.0, 1.0, 3.0), (np.sin, np.cos, np.sin)):
+        fn(np.multiply(t, k * np.pi, row), row)
+    return b
+
+
+def _smooth_values(basis: np.ndarray, c, amplitude: float) -> np.ndarray:
+    """c0 + c1 t + c2 t^2 + c3 sin 2 pi t + c4 cos pi t + c5 sin 3 pi t at the nodes of
+    ``basis`` (:func:`_smooth_basis`), plus 1 where that is all but 0, scaled to sup-norm
+    ``amplitude``."""
+    t = nodes(basis.shape[1] - 1)
+    vals = (c[2] * t + c[1]) * t + c[0]
+    vals += np.dot(c[3:], basis)
+    peak = max(vals.max(), -vals.min())
     if peak < 1e-12:
-        vals = vals + 1.0
-        peak = float(np.max(np.abs(vals)))
-    amplitude = scale * rng.uniform(0.1, 1.0)
-    return GridFunction(vals * (amplitude / peak))
+        vals += 1.0
+        peak = max(vals.max(), -vals.min())
+    vals *= amplitude / peak
+    return vals
+
+
+def random_smooth(rng: np.random.Generator, M: int, scale: float = 1.0) -> GridFunction:
+    """A random smooth function with sup-norm in (0.1, 1) * scale.
+
+    Normal coefficients over the basis of :func:`_smooth_values`; used by tests.
+    """
+    c = rng.standard_normal(6)
+    return GridFunction(_smooth_values(_smooth_basis(M), c, scale * rng.uniform(0.1, 1.0)))

@@ -11,6 +11,7 @@ between monotone maps and J-pseudocontractive maps.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .duality import ProductPoint, duality_into
-from .grid import (GridFunction, LpContext, _number, abs_norm, nodes, pairing, random_smooth,
-                   trapezoid_weights)
+from .grid import (GridFunction, LpContext, NonFiniteValuesError, _number, _smooth_basis,
+                   _smooth_values, abs_norm, nodes, trapezoid_weights, weighted_sum)
 
 SUBGRADIENT_VARIANTS = ("literal", "duality")
 _FEAS_TOL = 1e-12  # box violation that vi_normal_cone_selection still accepts
@@ -77,16 +78,38 @@ def sample_monotonicity(
     """Minimum of <Ax - Ay, x - y> over random smooth pairs.
 
     A monotone operator yields a nonnegative minimum up to roundoff
-    (>= -1e-10 is the acceptance threshold used by the tests).  The pairs
-    come from a fixed seed, so the check is deterministic.
+    (>= -1e-10 is the acceptance threshold used by the tests).  A probe
+    has coefficients uniform in [-1, 1) over the basis of
+    :func:`~lpmono.grid._smooth_values` and sup-norm scale * U(0.1, 1),
+    drawn by ``random.Random(1234).random()``, whose sequence Python keeps
+    across versions, so the check is deterministic.  ``op`` is called on
+    the probes' read-only nodal values (a callable that is not a
+    :class:`MonotoneOp` is wrapped as its ``fn``); a non-finite pairing
+    raises :class:`~lpmono.grid.NonFiniteValuesError`.
     """
-    rng = np.random.default_rng(1234)
-    worst = np.inf
-    for _ in range(pairs):
-        x = random_smooth(rng, M, scale)
-        y = random_smooth(rng, M, scale)
-        worst = min(worst, pairing(op(x) - op(y), x - y))
-    return float(worst)
+    A = op if isinstance(op, MonotoneOp) else MonotoneOp(op)
+    draw, basis, w = random.Random(1234).random, _smooth_basis(M), trapezoid_weights(M)
+
+    def probe() -> np.ndarray:
+        c = [2.0 * draw() - 1.0 for _ in range(6)]
+        v = _smooth_values(basis, c, scale * (0.1 + 0.9 * draw()))
+        v.flags.writeable = False
+        return v
+
+    def slack(x: np.ndarray, y: np.ndarray) -> float:
+        # <Ax, e> - <Ay, e> with e = x - y written over x: one array besides the pair
+        out = np.empty(M + 1)
+        np.copyto(out, A(x, out))  # A may return x itself or an array of its own
+        x.flags.writeable = True
+        e = np.subtract(x, y, x)
+        ax_e = weighted_sum(np.multiply(out, e, out), w, out)
+        s = ax_e - weighted_sum(np.multiply(A(y, out), e, out), w, out)
+        if not math.isfinite(s):
+            raise NonFiniteValuesError(f"operator {A.name!r} gave the pairing {s} on smooth probes")
+        return s
+
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pairing raises in slack
+        return min((slack(probe(), probe()) for _ in range(pairs)), default=math.inf)
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +188,7 @@ def hammerstein_kernel_op(kernel) -> MonotoneOp:
     the returned operator rather than raising, since some kernels of
     practical interest are only conditionally monotone.
     """
-    k = np.array(kernel, dtype=float)
+    k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"kernel must be square (M+1) x (M+1), got shape {k.shape}")
     if k.shape[0] < 3:

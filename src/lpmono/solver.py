@@ -93,7 +93,9 @@ class SolveConfig:
             value = _number(name, getattr(self, name), float)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if _number("max_iter", self.max_iter, int) < 1:
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "max_iter", _number("max_iter", self.max_iter, int))
+        if self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
@@ -166,15 +168,16 @@ def _norm(ns: list[float]) -> float:
     return ns[0] if len(ns) == 1 else float(np.hypot(*ns))
 
 
-# a step writes its dual-space vector into ``out``, which may be ax (tx); ``s`` is scratch
-def _core_step(jx, ax, a: float, th: float, out, s) -> None:
+# a step writes its dual-space vector into ``out``, which may be ax (tx); ``s`` is scratch.
+# a, ath and a1 are 0-d arrays holding alpha_n, alpha_n * theta_n and 1 - alpha_n
+def _core_step(jx, ax, a, ath, a1, out, s) -> None:
     np.subtract(jx, np.multiply(ax, a, out), out)
-    np.subtract(out, np.multiply(jx, a * th, s), out)
+    np.subtract(out, np.multiply(jx, ath, s), out)
 
 
-def _jfixed_step(jx, tx, a: float, th: float, out, s) -> None:
-    np.add(np.multiply(jx, 1.0 - a, s), np.multiply(tx, a, out), out)
-    np.subtract(out, np.multiply(jx, a * th, s), out)
+def _jfixed_step(jx, tx, a, ath, a1, out, s) -> None:
+    np.add(np.multiply(jx, a1, s), np.multiply(tx, a, out), out)
+    np.subtract(out, np.multiply(jx, ath, s), out)
 
 
 def _array_ops(M: int, *ops) -> list:
@@ -258,10 +261,14 @@ def _iterate(
     comps = [(i, jx[i], d[i], *d[i], cols[k].append, *powers(r), *powers(rd))
              for i, r, rd, k in zip(range(len(x)), exps, (ctx.q, ctx.p), names)]
     push_norm, push_time = cols["iterate_norm"].append, cols["elapsed"].append
+    # the step's scalars, written per step into 0-d arrays made once: numpy takes a 0-d array
+    # in about half the time it takes to convert a float. f holds one norm factor at a time
+    alpha, alpha_theta, one_minus_alpha, f = (np.empty(()) for _ in range(4))
     absolute, add_reduce, copysign = np.abs, np.add.reduce, np.copysign
     multiply, power, subtract = np.multiply, np.power, np.subtract
     tol, guard, clock, t0 = cfg.tol, cfg.divergence_guard, time.perf_counter, time.perf_counter()
     for n, a, th in cfg.schedule.steps(cfg.max_iter):
+        alpha[()], alpha_theta[()], one_minus_alpha[()] = a, a * th, 1.0 - a
         try:
             y = op(xv, ax)
         except NonFiniteValuesError as exc:
@@ -269,13 +276,14 @@ def _iterate(
         top = 0.0
         for i, ji, di, d0, d1, push, r, ir, r1, r2, rd, ird, rd1, rd2 in comps:
             xi, xni = x[i], xn[i]
-            step(ji, y[i], a, th, d0, d1)
+            step(ji, y[i], alpha, alpha_theta, one_minus_alpha, d0, d1)
             nd = float(add_reduce(multiply(w, power(absolute(d0, d1), rd, xni), xni))) ** ird
             if nd == 0.0:
                 d1.fill(0.0)
                 xni.fill(0.0)
             else:
-                copysign(multiply(power(d1, rd1, d1), nd**rd2, d1), d0, xni)
+                f[()] = nd**rd2
+                copysign(multiply(power(d1, rd1, d1), f, d1), d0, xni)
             power(d1, r1, ji)  # J x_{n+1} from |x_{n+1}|, before d1 is raised to r
             absolute(subtract(xni, xi, d0), d0)
             s0, s1 = add_reduce(multiply(w, power(di, r, di), di), 1, None, sums).tolist()
@@ -283,7 +291,8 @@ def _iterate(
             if nrm == 0.0:
                 ji.fill(0.0)
             else:
-                copysign(multiply(ji, nrm**r2, ji), xni, ji)
+                f[()] = nrm**r2
+                copysign(multiply(ji, f, ji), xni, ji)
             push(res)
             ns[i], top = nrm, max(top, res)
         norm = _norm(ns)

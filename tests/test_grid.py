@@ -1,6 +1,7 @@
 """Grid kernel: quadrature, norms, pairing, and value/grid validation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from lpmono import (
     default_schedule,
     lp_norm,
     pairing,
+    mult_op,
     random_smooth,
     solve_vi,
+    solve_zero,
 )
+from lpmono.cli import example_config, execute, resolve_init
 from lpmono.grid import trapezoid_integral, trapezoid_weights
 
 
@@ -209,3 +213,16 @@ class TestNumberRule:
     def test_probe_fails_when_built(self, ctx, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build(ctx)
+
+    def test_checked_numbers_are_stored_converted(self):
+        # a Fraction p once reached numpy's power as an object array; a Fraction tol was compared
+        # as a Fraction every step and recorded on the trace
+        ctx = LpContext(p=Fraction(3, 2), M=np.int64(100))
+        cfg = SolveConfig(ctx, default_schedule(), tol=Fraction(1, 10**6),
+                          max_iter=np.int64(10**6), divergence_guard=np.float32(1e6))
+        assert [type(v) for v in (ctx.p, ctx.M, ctx.q)] == [float, int, float]
+        assert [type(v) for v in (cfg.tol, cfg.max_iter, cfg.divergence_guard)] == [float, int, float]
+        _, trace = solve_zero(mult_op(), resolve_init("inv-quad", ctx.M), cfg)
+        expected = execute(example_config(1)).trace
+        assert trace.columns["residual"].tobytes() == expected.columns["residual"].tobytes()
+        assert type(trace.tol) is float

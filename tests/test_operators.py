@@ -1,11 +1,16 @@
 """Operator catalog: pointwise behavior, sampled monotonicity, normal-cone
 selections, and the monotone <-> J-pseudocontractive passage."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpmono
 from lpmono import (
     GridFunction,
     InfeasiblePointError,
@@ -32,7 +37,7 @@ from lpmono import (
 )
 from lpmono.duality import product_pairing
 from lpmono.grid import trapezoid_integral
-from lpmono.operators import feasibility_violation, vi_normal_cone_selection
+from lpmono.operators import feasibility_violation, identity_op, vi_normal_cone_selection
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -143,6 +148,18 @@ class TestHammersteinExample:
         assert np.all((z + pair.K(pair.F(z))).values == 0.0)
 
 
+# the package's import and a kernel operator's build, in a fresh interpreter; numpy.random
+# (about 6 MB of RSS) is imported by neither
+BUILD_KERNEL_OP = """
+import sys
+import numpy as np
+import lpmono, lpmono.cli
+t = np.linspace(0.0, 1.0, 101)
+lpmono.hammerstein_kernel_op(np.exp(-np.abs(t[:, None] - t[None, :])))
+print("numpy.random" in sys.modules)
+"""
+
+
 class TestKernelOp:
     def test_zero_kernel(self):
         K = hammerstein_kernel_op(np.zeros((11, 11)))
@@ -172,6 +189,32 @@ class TestKernelOp:
         with pytest.warns(UserWarning, match="monotonicity"):
             K = hammerstein_kernel_op(-np.outer(t, t))
         assert K.monotonicity_warning is not None
+
+    def test_sampled_check_is_deterministic(self):
+        t = np.linspace(0.0, 1.0, 101)
+        K = hammerstein_kernel_op(np.exp(-np.abs(t[:, None] - t[None, :])))
+        first = sample_monotonicity(K, 100, pairs=50, scale=1.0)
+        assert first >= -1e-10
+        assert sample_monotonicity(K, 100, pairs=50, scale=1.0) == first
+
+    def test_sampled_check_takes_any_callable(self):
+        # a map of grid functions, a kernel that returns its input, and the array kernel agree
+        double = MonotoneOp(kernel=lambda v, out: np.multiply(v, 2.0, out), name="double")
+        assert sample_monotonicity(lambda f: f * 2.0, 100) == sample_monotonicity(double, 100)
+        assert sample_monotonicity(identity_op(), 100) > 0.0
+
+    def test_sampled_check_refuses_a_non_finite_pairing(self):
+        infinite = MonotoneOp(kernel=lambda v, out: np.multiply(v, np.inf, out), name="inf")
+        with pytest.raises(NonFiniteValuesError, match="'inf' gave the pairing nan"):
+            sample_monotonicity(infinite, 100)
+
+    def test_build_does_not_import_numpy_random(self):
+        src = str(Path(lpmono.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", BUILD_KERNEL_OP], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert proc.stdout == "False\n"
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="square"):
