@@ -10,8 +10,8 @@ Exposes the generic solvers (``zero``, ``hilbert``, ``min``, ``vi``,
 
 Every run is described by a :class:`RunConfig`: its types, names and
 solver fields are checked when it is built, its ranges by the library
-constructors before any step.  Its record, ``asdict`` of it plus the
-schedule's meta, is what a run stores and exports, and rerunning that
+constructors before any step.  Its record, ``asdict`` of it plus what
+the run derives, is what a run stores and exports, and rerunning that
 record reproduces the iteration count and residuals bit for bit.
 A tolerance ladder is one run to its tightest rung, cut into a prefix
 per rung.  Exit status: 0 when every run converged, 2 when some run
@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +114,8 @@ class RunConfig:
     Types, names and solver-specific fields are checked when it is built.
     Ranges (``p`` in (1, 2], a finite ``tol``, ``lo < hi``, ...) are
     checked by the constructors ``execute`` builds from it, before any
-    step.  ``asdict`` of it, with the schedule's meta, is the record a run
-    stores and exports.  ``divergence_guard`` is recorded but cannot be set.
+    step.  ``asdict`` of it, with what the run derives (``divergence_guard``
+    and the schedule's meta), is the record a run stores and exports.
     """
 
     solver: str
@@ -133,7 +133,6 @@ class RunConfig:
     box: tuple[float, float] | None = None  # (-2, 2) for vi
     vi_magnitude: float = 1.0
     target: str | None = None
-    divergence_guard: float = field(default=SolveConfig.divergence_guard, init=False)
 
     def __post_init__(self) -> None:
         solver, operator = self.solver, self.operator
@@ -181,13 +180,13 @@ def _from_record(record: Mapping) -> RunConfig:
     """A stored run description, rebuilt; what the run derives must match it."""
     given = dict(record)
     derived = {k: given.pop(k) for k in ("schedule", "divergence_guard") if k in given}
-    missing = [f.name for f in fields(RunConfig) if f.init and f.name not in given]
+    missing = [f.name for f in fields(RunConfig) if f.name not in given]
     if missing:
         raise ValueError(f"a stored config holds every field; missing {', '.join(missing)}")
     config = RunConfig(**given)  # an unknown key is refused by name
     for key, value in derived.items():
         runs = (default_schedule(config.gamma, config.theta_offset, config.theta_base).meta
-                if key == "schedule" else config.divergence_guard)
+                if key == "schedule" else SolveConfig.divergence_guard)
         if value != runs:
             raise ValueError(f"{key} is derived by the run and cannot be set: got {value!r}, "
                              f"the run derives {runs!r}")
@@ -213,7 +212,7 @@ def execute(config: RunConfig | Mapping) -> RunRecord:
         target = ProductPoint(zero, zero) if solver == "hammerstein" else zero
 
     cfg = SolveConfig(ctx=ctx, schedule=sched, tol=config.tol, max_iter=config.max_iter,
-                      divergence_guard=config.divergence_guard, target=target)
+                      target=target)
 
     # zero, hilbert and min are the core recursion with their own A
     if solver == "min":
@@ -240,7 +239,8 @@ def execute(config: RunConfig | Mapping) -> RunRecord:
         v1 = _from_flag("--init-dual", resolve_init, config.init_dual, ctx.M)
         _, _, trace = solve_hammerstein(pair, x1, v1, cfg)
 
-    stored = {**asdict(config), "schedule": dict(sched.meta)}  # formulas + n0/base/gamma, for audits
+    stored = {**asdict(config), "divergence_guard": cfg.divergence_guard,
+              "schedule": dict(sched.meta)}  # formulas + n0/base/gamma, for audits
     return RunRecord(config=stored, trace=trace, summary=summarize(trace))
 
 

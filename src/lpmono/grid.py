@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -34,18 +33,24 @@ class NonFiniteValuesError(ValueError):
     """A grid function acquired NaN or infinite samples."""
 
 
-@lru_cache(maxsize=None)
+def _grid_size(M) -> int:
+    """``M`` as a Python int; anything but an integer >= 2 (3 nodes) is refused by name."""
+    M = _number("M", M, int)
+    if M < 2:
+        raise ValueError(f"M must be an integer >= 2, got {M!r}")
+    return M
+
+
 def nodes(M: int) -> np.ndarray:
     """Uniform nodes t_i = i/M on [0,1] (read-only array of length M+1)."""
-    t = np.linspace(0.0, 1.0, M + 1)
+    t = np.linspace(0.0, 1.0, _grid_size(M) + 1)
     t.flags.writeable = False
     return t
 
 
-@lru_cache(maxsize=None)
 def trapezoid_weights(M: int) -> np.ndarray:
     """Trapezoid weights (1/M)*[1/2, 1, ..., 1, 1/2] (read-only, length M+1)."""
-    w = np.full(M + 1, 1.0 / M)
+    w = np.full(_grid_size(M) + 1, 1.0 / M)
     w[0] *= 0.5
     w[-1] *= 0.5
     w.flags.writeable = False
@@ -66,8 +71,7 @@ class GridFunction:
         v = np.array(values, dtype=float)
         if v.ndim != 1:
             raise ValueError(f"expected a 1-d sample array, got shape {v.shape}")
-        if v.size < 3:
-            raise ValueError("need at least M = 2 subintervals (3 nodes)")
+        _grid_size(v.size - 1)
         if not np.isfinite(v).all():
             raise NonFiniteValuesError("grid function has NaN or Inf samples")
         v.flags.writeable = False
@@ -87,11 +91,11 @@ class GridFunction:
 
     @classmethod
     def zeros(cls, M: int) -> "GridFunction":
-        return cls(np.zeros(M + 1))
+        return cls(np.zeros(_grid_size(M) + 1))
 
     @classmethod
     def full(cls, M: int, value: float) -> "GridFunction":
-        return cls(np.full(M + 1, float(value)))
+        return cls(np.full(_grid_size(M) + 1, float(value)))
 
     @property
     def M(self) -> int:
@@ -149,11 +153,9 @@ class LpContext:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", _number("p", self.p, float))
-        object.__setattr__(self, "M", _number("M", self.M, int))
+        object.__setattr__(self, "M", _grid_size(self.M))
         if not 1.0 < self.p <= 2.0:
             raise ValueError(f"p must lie in (1, 2], got {self.p}")
-        if self.M < 2:
-            raise ValueError(f"M must be an integer >= 2, got {self.M!r}")
 
     @property
     def q(self) -> float:
@@ -206,11 +208,12 @@ def pairing(f: GridFunction, g: GridFunction) -> float:
 
 
 def _smooth_basis(M: int) -> np.ndarray:
-    """sin 2 pi t, cos pi t and sin 3 pi t at the nodes, shape (3, M+1): the rows of
-    :func:`_smooth_values` that are not polynomials in t."""
+    """t, sin 2 pi t, cos pi t and sin 3 pi t at the nodes, shape (4, M+1): the node row and
+    the rows of :func:`_smooth_values` that are not polynomials in t."""
     t = nodes(M)
-    b = np.empty((3, M + 1))
-    for row, k, fn in zip(b, (2.0, 1.0, 3.0), (np.sin, np.cos, np.sin)):
+    b = np.empty((4, t.size))
+    b[0] = t
+    for row, k, fn in zip(b[1:], (2.0, 1.0, 3.0), (np.sin, np.cos, np.sin)):
         fn(np.multiply(t, k * np.pi, row), row)
     return b
 
@@ -219,9 +222,9 @@ def _smooth_values(basis: np.ndarray, c, amplitude: float) -> np.ndarray:
     """c0 + c1 t + c2 t^2 + c3 sin 2 pi t + c4 cos pi t + c5 sin 3 pi t at the nodes of
     ``basis`` (:func:`_smooth_basis`), plus 1 where that is all but 0, scaled to sup-norm
     ``amplitude``."""
-    t = nodes(basis.shape[1] - 1)
+    t = basis[0]
     vals = (c[2] * t + c[1]) * t + c[0]
-    vals += np.dot(c[3:], basis)
+    vals += np.dot(c[3:], basis[1:])
     peak = max(vals.max(), -vals.min())
     if peak < 1e-12:
         vals += 1.0

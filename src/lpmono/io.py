@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from itertools import count, repeat
 
+import numpy as np
+
 from .solver import IterationTrace
 
 CSV_HEADER = "n,residual_p,residual_q,iterate_norm,phi_to_target,elapsed_s,feasibility_violation"
@@ -66,17 +68,18 @@ def export_loglog(rec: RunRecord, path) -> int:
     """Write (n, residual) pairs for log-log plotting; returns drop count.
 
     Rows with nonpositive residual cannot appear on a log scale and are
-    dropped; writing nothing is an error rather than an empty file.
+    dropped; writing nothing is an error rather than an empty file.  The
+    pairs stream out of the residual column as they are written.
     """
-    kept = [(n, r) for n, r in enumerate(rec.trace.columns["residual"].tolist(), 2) if r > 0.0]
-    dropped = rec.trace.nfe - len(kept)
-    if not kept:
+    res = rec.trace.columns["residual"]
+    dropped = rec.trace.nfe - np.count_nonzero(res > 0.0)
+    if dropped == rec.trace.nfe:
         raise ValueError(
             f"no positive residuals to plot ({dropped} rows dropped); not writing {path}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for n, r in kept:
-            fh.write(f"{n} {format(r, '.17g')}\n")
+        fh.writelines(f"{n} {format(r, '.17g')}\n"
+                      for n, r in zip(count(2), memoryview(res)) if r > 0.0)
     return dropped
 
 

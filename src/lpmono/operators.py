@@ -78,7 +78,8 @@ def sample_monotonicity(
     """Minimum of <Ax - Ay, x - y> over random smooth pairs.
 
     A monotone operator yields a nonnegative minimum up to roundoff
-    (>= -1e-10 is the acceptance threshold used by the tests).  A probe
+    (>= -1e-10 is the acceptance threshold used by the tests) over
+    ``pairs`` >= 1 pairs at a finite ``scale`` > 0.  A probe
     has coefficients uniform in [-1, 1) over the basis of
     :func:`~lpmono.grid._smooth_values` and sup-norm scale * U(0.1, 1),
     drawn by ``random.Random(1234).random()``, whose sequence Python keeps
@@ -87,6 +88,11 @@ def sample_monotonicity(
     :class:`MonotoneOp` is wrapped as its ``fn``); a non-finite pairing
     raises :class:`~lpmono.grid.NonFiniteValuesError`.
     """
+    pairs, scale = _number("pairs", pairs, int), _number("scale", scale, float)
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     A = op if isinstance(op, MonotoneOp) else MonotoneOp(op)
     draw, basis, w = random.Random(1234).random, _smooth_basis(M), trapezoid_weights(M)
 
@@ -109,10 +115,10 @@ def sample_monotonicity(
         return s
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pairing raises in slack
-        return min((slack(probe(), probe()) for _ in range(pairs)), default=math.inf)
+        return min(slack(probe(), probe()) for _ in range(pairs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _one_plus_t(size: int) -> np.ndarray:
     return 1.0 + nodes(size - 1)
 
@@ -191,8 +197,6 @@ def hammerstein_kernel_op(kernel) -> MonotoneOp:
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"kernel must be square (M+1) x (M+1), got shape {k.shape}")
-    if k.shape[0] < 3:
-        raise ValueError("kernel needs at least M = 2 subintervals (3 nodes)")
     if not np.all(np.isfinite(k)):
         raise ValueError("kernel has NaN or Inf entries")
     M = k.shape[0] - 1

@@ -151,6 +151,7 @@ def check_acceptably_paired(schedule: ParamSchedule, i_max: int) -> PairingRepor
     representative of the limiting behavior.  ``i_max`` is capped at 8, which
     sums alpha over 9^9 terms in about 13 s (7: 8^8 terms, about 1 s).
     """
+    i_max = _number("i_max", i_max, int)
     if i_max < 2:
         raise ValueError(f"i_max must be >= 2, got {i_max}")
     if i_max > _BLOCK_I_MAX:

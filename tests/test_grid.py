@@ -1,6 +1,8 @@
 """Grid kernel: quadrature, norms, pairing, and value/grid validation."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +16,13 @@ from lpmono import (
     NonFiniteValuesError,
     SolveConfig,
     default_schedule,
+    hammerstein_kernel_op,
     lp_norm,
+    nodes,
     pairing,
     mult_op,
     random_smooth,
+    sample_monotonicity,
     solve_vi,
     solve_zero,
 )
@@ -188,6 +193,41 @@ class TestLpContext:
         with pytest.raises(ValueError, match="M must be an integer"):
             LpContext(1.5, True)
         assert LpContext(1.5, np.int64(100)).M == 100
+
+
+class TestGridSize:
+    """One rule for the subinterval count M, reached by every maker of grid arrays."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: nodes(0), "M must be an integer >= 2, got 0"),
+        (lambda: trapezoid_weights(0), "M must be an integer >= 2, got 0"),
+        (lambda: nodes(True), "M must be an integer, got True"),
+        (lambda: sample_monotonicity(mult_op(), 1), "M must be an integer >= 2, got 1"),
+        (lambda: GridFunction([0.0, 1.0]), "M must be an integer >= 2, got 1"),
+        (lambda: GridFunction.zeros(2.5), "M must be an integer, got 2.5"),
+        (lambda: GridFunction.full(True, 1.0), "M must be an integer, got True"),
+        (lambda: hammerstein_kernel_op(np.zeros((2, 2))), "M must be an integer >= 2, got 1"),
+        (lambda: LpContext(1.5, 1), "M must be an integer >= 2, got 1"),
+    ], ids=["nodes-0", "weights-0", "nodes-bool", "sampled-check-1", "GridFunction-2-nodes",
+            "zeros-fraction", "full-bool", "kernel-2-nodes", "LpContext-1"])
+    def test_probe_is_refused_naming_m(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_no_grid_arrays_outlive_a_sweep_over_m(self):
+        # per-size caches of the nodes, the weights and mult_op's 1 + t held about 40 MB here
+        tracemalloc.start()
+        try:
+            for M in (10**5, 2 * 10**5, 4 * 10**5, 10**6):
+                lp_norm(GridFunction.full(M, 1.0), 1.5)
+                sample_monotonicity(mult_op(), M, pairs=2)
+                execute(example_config(1, grid=M, max_iter=3))
+            sample_monotonicity(mult_op(), 100, pairs=2)  # mult_op's one-grid cache moves on
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6
 
 
 def _vi_with_magnitude(ctx, magnitude):

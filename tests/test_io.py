@@ -5,12 +5,14 @@ import hashlib
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import lpmono.schedule
 from lpmono import export_csv, export_json, export_loglog
 from lpmono.cli import RunConfig, example_config, execute
-from lpmono.io import CSV_HEADER
+from lpmono.io import CSV_HEADER, RunRecord
+from lpmono.solver import IterationTrace
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,24 @@ class TestLoglogExport:
         assert int(n) == record.trace.final.n
         assert float(r) == record.trace.final.residual
         assert float(r) < 1e-3  # stopping criterion reached
+
+    def test_streams_from_the_residual_column(self, tmp_path):
+        # (n, r) tuples built from the column's list peaked near 15x its bytes
+        residual = np.linspace(1.0, 0.0, 10**5)
+        trace = IterationTrace(dict.fromkeys(("residual", "iterate_norm", "elapsed"), residual))
+        path = tmp_path / "long.dat"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dropped = export_loglog(RunRecord({}, trace, {}), path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert dropped == 1
+        assert peak < residual.nbytes
+        lines = path.read_text().splitlines()
+        n, r = lines[-1].split()
+        assert lines[0] == "2 1" and (int(n), float(r)) == (10**5, residual[-2])
 
     def test_all_zero_residuals_error_not_empty_file(self, tmp_path):
         rec = execute(RunConfig(solver="zero", operator="mult", init="zero"))

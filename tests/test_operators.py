@@ -1,6 +1,7 @@
 """Operator catalog: pointwise behavior, sampled monotonicity, normal-cone
 selections, and the monotone <-> J-pseudocontractive passage."""
 
+import math
 import os
 import subprocess
 import sys
@@ -207,6 +208,20 @@ class TestKernelOp:
         infinite = MonotoneOp(kernel=lambda v, out: np.multiply(v, np.inf, out), name="inf")
         with pytest.raises(NonFiniteValuesError, match="'inf' gave the pairing nan"):
             sample_monotonicity(infinite, 100)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"pairs": 0}, "pairs must be >= 1, got 0"),
+        ({"pairs": 2.5}, "pairs must be an integer, got 2.5"),
+        ({"scale": 0.0}, "scale must be finite and > 0, got 0.0"),
+        ({"scale": math.inf}, "scale must be finite and > 0, got inf"),
+        ({"scale": "1"}, "scale must be a number, got '1'"),
+    ], ids=["pairs-0", "pairs-fraction", "scale-0", "scale-inf", "scale-str"])
+    def test_sampled_check_refuses_bad_pairs_and_scale(self, kwargs, message):
+        # no pairs read inf and a zero scale 0.0, so -I passed the >= -1e-10 verdict
+        minus = MonotoneOp(kernel=lambda v, out: np.negative(v, out), name="minus-identity")
+        assert sample_monotonicity(minus, 100, pairs=1) < -1e-10
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_monotonicity(minus, 100, **kwargs)
 
     def test_build_does_not_import_numpy_random(self):
         src = str(Path(lpmono.__file__).resolve().parents[1])

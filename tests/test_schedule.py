@@ -178,6 +178,14 @@ class TestCheckAcceptablyPaired:
         with pytest.raises(ValueError):
             check_acceptably_paired(s, 1)
 
+    @pytest.mark.parametrize("i_max, message", [
+        (3.0, "i_max must be an integer, got 3.0"),
+        ("3", "i_max must be an integer, got '3'"),
+    ], ids=["float", "str"])
+    def test_i_max_must_be_an_integer(self, i_max, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_acceptably_paired(default_schedule(1.0), i_max)
+
 
 S1_HEX = """
 import sys
