@@ -14,8 +14,9 @@ One loop runs every solver.  It works on raw nodal arrays in one of two
 spaces, read from the starting point's number of components: L_p, where
 J and J^{-1} are the p- and q-maps (the identity at p = 2, the Hilbert
 case), and the product space E = X x X*, where J = [J_p, J_q].  A step
-takes ||x_{n+1} - x_n|| and the ||x_{n+1}|| of J x_{n+1} in one pass and
-hands the operator x_n read-only.  The Hammerstein system u + KFu = 0 is
+carries the dual vector y_{n+1} it forms as J x_{n+1} (Alber's dual form;
+J inverts J^{-1}), takes ||x_{n+1}|| = ||y_{n+1}|| from J^{-1}, and hands
+the operator x_n read-only.  The Hammerstein system u + KFu = 0 is
 the core recursion on E with A[u, v] = [Fu - v, Kv + u]; minimization
 and variational inequalities take a subgradient selection, or T plus a
 normal-cone selection, as A.  The J-fixed-point form keeps its own
@@ -226,8 +227,10 @@ def _iterate(
     component.  The run stops once every component residual is below tol.
     Each step appends its trace values to one buffer per column, which
     becomes the trace's column at the end.  Returns copies of the final
-    components followed by the trace.  J^{-1}, J and the residual take
-    ``duality_into``'s arithmetic, bit for bit, in fewer passes (see below).
+    components followed by the trace.  J^{-1} takes ``duality_into``'s
+    arithmetic and the residual ``abs_norm``'s, bit for bit; J x_{n+1} is
+    the dual vector y_{n+1} itself and ||x_{n+1}|| is J^{-1}'s ||y_{n+1}||,
+    both exact in exact arithmetic, so J is evaluated once per solve.
     """
     ctx = cfg.ctx
     _check_grid(x1, ctx.M, "initial point")
@@ -243,26 +246,26 @@ def _iterate(
         t = [(i, f.values) for i, f in enumerate(t) if f.values.any()]
     w = trapezoid_weights(ctx.M)
     # per component: x_n and x_{n+1}, swapped each step, with read-only views for the operator;
-    # J x_n; rows [A x_n, then |x_{n+1} - x_n|; scratch, then |x_{n+1}|]. J^{-1} puts |x_{n+1}|
-    # in row 1, with x_{n+1}'s buffer as scratch; J starts from it; one pass sums both rows
+    # J x_n, A x_n and scratch. The step writes y_{n+1} over A x_n; J^{-1} puts |y_{n+1}| in
+    # scratch, with x_{n+1}'s buffer as its own scratch. y_{n+1} is then J x_{n+1}, so the J x
+    # and A x buffers swap roles, and the next operator writes over J x_n
     x = [f.values.copy() for f in x1]
-    xn, jx = [np.empty_like(v) for v in x], [np.empty_like(v) for v in x]
+    xn, jx, ax, sc = ([np.empty_like(v) for v in x] for _ in range(4))
     xv, xnv = ([np.lib.stride_tricks.as_strided(v, writeable=False) for v in b] for b in (x, xn))
-    d = [np.empty((2, v.size)) for v in x]
-    ax, sums, ns = [di[0] for di in d], np.empty(2), [0.0] * len(x)
+    ns = [0.0] * len(x)
     names = ("residual", "residual_dual")[: len(x)] + ("iterate_norm",)
     names += ("phi_to_target",) * (target is not None) + ("elapsed",)
     cols = {k: array("d") for k in names}  # one buffer per trace column
-    for v, r, jv, di in zip(x, exps, jx, d):
-        duality_into(v, r, w, jv, di[1])
-    # per component: index, J x_n, rows, residual column, and the powers of the norm exponent r
-    # and of J^{-1}'s rd; a 0-d exponent saves the conversion numpy makes of a float per call
-    powers = lambda r: (np.array(r), 1.0 / r, np.array(r - 1.0), 2.0 - r)
-    comps = [(i, jx[i], d[i], *d[i], cols[k].append, *powers(r), *powers(rd))
+    for v, r, jv, s in zip(x, exps, jx, sc):
+        duality_into(v, r, w, jv, s)
+    # per component: index, scratch, residual column, the norm exponent r and 1/r, and J^{-1}'s
+    # rd, 1/rd, rd - 1 and 2 - rd; a 0-d exponent saves the conversion numpy makes of a float
+    comps = [(i, sc[i], cols[k].append, np.array(r), 1.0 / r,
+              np.array(rd), 1.0 / rd, np.array(rd - 1.0), 2.0 - rd)
              for i, r, rd, k in zip(range(len(x)), exps, (ctx.q, ctx.p), names)]
     push_norm, push_time = cols["iterate_norm"].append, cols["elapsed"].append
     # the step's scalars, written per step into 0-d arrays made once: numpy takes a 0-d array
-    # in about half the time it takes to convert a float. f holds one norm factor at a time
+    # in about half the time it takes to convert a float. f holds J^{-1}'s norm factor
     alpha, alpha_theta, one_minus_alpha, f = (np.empty(()) for _ in range(4))
     absolute, add_reduce, copysign = np.abs, np.add.reduce, np.copysign
     multiply, power, subtract = np.multiply, np.power, np.subtract
@@ -274,29 +277,23 @@ def _iterate(
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
         top = 0.0
-        for i, ji, di, d0, d1, push, r, ir, r1, r2, rd, ird, rd1, rd2 in comps:
-            xi, xni = x[i], xn[i]
-            step(ji, y[i], alpha, alpha_theta, one_minus_alpha, d0, d1)
-            nd = float(add_reduce(multiply(w, power(absolute(d0, d1), rd, xni), xni))) ** ird
+        for i, s, push, r, ir, rd, ird, rd1, rd2 in comps:
+            xi, xni, yi = x[i], xn[i], ax[i]
+            step(jx[i], y[i], alpha, alpha_theta, one_minus_alpha, yi, s)
+            nd = float(add_reduce(multiply(w, power(absolute(yi, s), rd, xni), xni))) ** ird
             if nd == 0.0:
-                d1.fill(0.0)
+                yi.fill(0.0)
                 xni.fill(0.0)
             else:
                 f[()] = nd**rd2
-                copysign(multiply(power(d1, rd1, d1), f, d1), d0, xni)
-            power(d1, r1, ji)  # J x_{n+1} from |x_{n+1}|, before d1 is raised to r
-            absolute(subtract(xni, xi, d0), d0)
-            s0, s1 = add_reduce(multiply(w, power(di, r, di), di), 1, None, sums).tolist()
-            res, nrm = s0**ir, s1**ir
-            if nrm == 0.0:
-                ji.fill(0.0)
-            else:
-                f[()] = nrm**r2
-                copysign(multiply(ji, f, ji), xni, ji)
+                copysign(multiply(power(s, rd1, s), f, s), yi, xni)
+            jx[i], ax[i] = yi, jx[i]
+            absolute(subtract(xni, xi, s), s)
+            res = float(add_reduce(multiply(w, power(s, r, s), s))) ** ir
             push(res)
-            ns[i], top = nrm, max(top, res)
+            ns[i], top = nd, max(top, res)
         norm = _norm(ns)
-        # a NaN or inf node makes its component norm non-finite
+        # a NaN or inf node of y_{n+1} makes J^{-1}'s norm non-finite
         if not norm <= guard:
             if not all(np.isfinite(v).all() for v in xn):
                 raise NonFiniteIterateError(f"iterate became non-finite at step {n}")

@@ -8,6 +8,14 @@ and says why.  All runs use M = 100 but one, example 1 at M = 10^5.  The
 fingerprints differ between numpy's two float64 power loops, so each run
 pins one set per loop (``GOLDEN`` for AVX-512, ``GOLDEN_LIBM`` for libm);
 the NFE is the same on both.
+
+The engine carries the step's dual vector y_{n+1} as J x_{n+1}, and the
+``iterate_norm`` column is J^{-1}'s norm of it, ||y_{n+1}||_q; in exact
+arithmetic these are J x_{n+1} and ||x_{n+1}||_p.  The pins were re-recorded
+when those carried values replaced J and the norm recomputed from x_{n+1}:
+every NFE stayed, and ``hilbert`` and ``zero-p2`` kept their bits.  The
+exact replay in ``tests/test_oracle.py`` shows the carried columns closer
+to exact than the recomputed ones.
 """
 
 import hashlib
@@ -37,32 +45,32 @@ COLUMNS = ("residual", "iterate_norm", "residual_dual", "phi_to_target")
 
 GOLDEN = {
     "example-1": (509, {
-        "residual": "4a30a20964bec7c5ae449c9bd2e284e01fc17a8a7b4c2d2237700c9988802a70",
-        "iterate_norm": "9790b530e9cf24718927e95dc25472f996aba02fa919d8ae7f1216bc01cd6efc",
-        "phi_to_target": "02fca96a2aa0ad65703a3a01147b051e5807ab44741ad784ee3ac13631a29301",
+        "residual": "60411e43d92f144351f290514039c43341cfd465ffc5442a5b90e9f56375eada",
+        "iterate_norm": "ca37ae147da21a3816b7204296505c0b0862de72d82a06df7cc5687bfa67d2de",
+        "phi_to_target": "9cb6952799543ed39c048a0dc9ca229e10060a65b2cea1638651bb081b667b2b",
     }),
     # longer than one 4096-step schedule chunk
     "example-1-1e-12": (5482, {
-        "residual": "61d0fecaa4cc1eb48ade3ae17d655492957cf001bd45bdb673e9f030318ca138",
-        "iterate_norm": "a85c0fc35edcbca1feeea3ec6de6bca811a506c075e830b925ff9a8e37b6a4f8",
-        "phi_to_target": "9b29d98423c1d3652e6fb10316859f5d68833cd45abad892556c40d8e6cec11b",
+        "residual": "3b34099512146c09a896bc1aab03799cbe91921c25d987d679eba47807127455",
+        "iterate_norm": "cbf5c33f4bdb5a08acbd21f5bd24126899aa4cd2f3f68c9d4dfd80cfc8687fb5",
+        "phi_to_target": "8264098192849d932f191623ebd34f7e2eb7f486c8af82394988a909d53a056b",
     }),
     # a fine grid, where every nodal pass dominates the step
     "example-1-M1e5": (53, {
-        "residual": "19b897d1ba55e764db350c1cd30aa5e389cf92126c39b09c1fb2bb2c9f3ba4d2",
-        "iterate_norm": "651ce70ecfc393e4fc52c369de70f1c610783cb39ef67f38014301e9bdd28694",
-        "phi_to_target": "4b0d8387a8c040b372dcd3f0283657dd2f2e850f88ee1be92c1c12a519fc0ac5",
+        "residual": "136efbb11d6ed92dfef4bde15bdf99315364909460b26625be37bf33d7005aa9",
+        "iterate_norm": "52290086213314ac38db87d452646a5bd17b8cacf47c50db61c83488b4282cb4",
+        "phi_to_target": "663ddccd234645c8f5a45495d53bdca1be95a558a27b1181d5e0ab50bc2a0475",
     }),
     "example-2": (584, {
-        "residual": "8e6fd2773195d7758ccbb2b0c1491719e84637946846491a34d08e44f6e7ef8a",
-        "iterate_norm": "3761fa0d3da2325c0aace5059f89fcdff1b91ef4b669ed8ba4570ce76a6c78e4",
-        "phi_to_target": "177af0a385334b2586cfbdf81b51d4c17e22733c7ea16873c3b1b524866b4b52",
+        "residual": "c271636b5b8454acc835139906b1fcea96cb15dd4ea483dc752157a085081ba9",
+        "iterate_norm": "ea8e8fe25a1e24c1e2f611c70e23156eecd1175fae80424406c043b3355f036e",
+        "phi_to_target": "798b4bc7f5f934e46571a37fb2f6832ea3e164aa0fe32815f8d404c970c20c37",
     }),
     "example-3": (2040, {
-        "residual": "e4df5ffcfce8425bb20d0d0a04abfdb6f89e432f483d879cb3c4e5b0764df963",
-        "iterate_norm": "cd2e4fd5e33f062bc8198bae512c62707e204f7417af2a0fabfeb4e0b907fe2e",
-        "residual_dual": "1a277bdd5457aea032e1724dc78aa94dcc5e56ba150c5e977fbd053b827d4198",
-        "phi_to_target": "b5d0de98bd150c73976c5eeffb6a36368e31050f0c63811ac5fb71365cc011c0",
+        "residual": "db9b01a4ce19255f9e103c8be1731fa5d4566727bd6cf389f07b8b5d503f0c9e",
+        "iterate_norm": "f1894555afb303935f72a8f2b232a9ea47989f3497fc9bbf2be43dd12d69dbdc",
+        "residual_dual": "c29836090d4d1cfd96340126c041e863dabed7b80280edfa64c69c5a9df4cf94",
+        "phi_to_target": "32af40751d3956d4e8e12b58873906e4313cca46803692ff2e9b9ca10f2c757c",
     }),
     "hilbert": (546, {
         "residual": "b410a8bd0cc686560e4f7ddfae6eb96397cd7f05c3eebf3e50b340c104b24884",
@@ -74,29 +82,29 @@ GOLDEN = {
         "iterate_norm": "c107190afebaa5f51a40aa9941f886b1544b8a27f82a51ade362b54e0f47745f",
     }),
     "jfixed": (509, {
-        "residual": "dae4333a0a7703704d729a57fa131d97a8cc54ce5e275b5d00b6117197b90f7c",
-        "iterate_norm": "c22cdb9ef95a6c22e85471f5f1800a28dbd73003ee4ddf05ce3a92647aad6e10",
+        "residual": "bb0d986f03bb5bfd373e20373a42d80a60cb8c10739eed73e669e1fa26cf6ea0",
+        "iterate_norm": "9280e19707de12f6c87b1daad8747bafbe6df9922216771a904e058dd7e5653d",
     }),
     "vi": (509, {
-        "residual": "4a30a20964bec7c5ae449c9bd2e284e01fc17a8a7b4c2d2237700c9988802a70",
-        "iterate_norm": "9790b530e9cf24718927e95dc25472f996aba02fa919d8ae7f1216bc01cd6efc",
+        "residual": "60411e43d92f144351f290514039c43341cfd465ffc5442a5b90e9f56375eada",
+        "iterate_norm": "ca37ae147da21a3816b7204296505c0b0862de72d82a06df7cc5687bfa67d2de",
     }),
     "hammerstein-kernel": (2773, {
-        "residual": "b2fc0abf4eb420089f1641f5d601387abb239cb207b3aa234e18ff0a0a03b528",
-        "iterate_norm": "010ac246ab02d85e7074a33a7b433634a196ff13794a13c346b20efe8a81ee9b",
-        "residual_dual": "6cac87478e5fd9b5a275fa1b81a764116dabac4a8dc77e3210f1577b96840cbb",
+        "residual": "3030fed44129d8c626f299249f95887a43b6d20da6b57a89e0c54c0d254ebe7c",
+        "iterate_norm": "d601144c87d3a66e891ddebd9b21436e3750ecb7616615a0bb9949b172505053",
+        "residual_dual": "d117e6ad43e7a3cb18324f4d7ee6664f88b4433f08ff9b587f0c95eaddb07896",
     }),
     # target [u*, 0] with u* != 0 on X x X*: one component paired, one skipped
     "hammerstein-partial-target": (157, {
-        "residual": "7c21c735485588bcc278e5dbae8bb43c1c2371a102fedc7131538611955b0bbf",
-        "iterate_norm": "e9d4b6ab84b0a59028f16d7c17c46bd7cf69234499b1358873b9657b28a9e3d1",
-        "residual_dual": "040bace4a29a11a6c9dafa13d5de96def508d4f4e1579d38e7114663ada6a926",
-        "phi_to_target": "478fdcdc5e828d13fab93e6babc50a2fba0b5eb43c66ee0f97618790d1a1a402",
+        "residual": "70a6320553b6649a0c011e8400589c31bb5b28ac40bcfe2f712f7628263bc2f0",
+        "iterate_norm": "c4d42a561ecbba7be6025aae4bf54bf5748d93c29a152656a0e90f019a521372",
+        "residual_dual": "b2d3d8b96b10a5bb75d52355a83b9ee7319021fd2574f63f4dedeb79f7964efa",
+        "phi_to_target": "92adc952705e911ef9ca4b9c4bca055609a0d95f5c57053183a27105a3b04a99",
     }),
     "nonzero-target": (53, {
-        "residual": "c9da75ea41dce6ba9e0f8c681f9f3cf6e960518856db412541ef8319cd0a0a7b",
-        "iterate_norm": "0a2eda92eb376fedd0d537f51d450a463476aebc887a8927cb8fda7ffa4afaa5",
-        "phi_to_target": "19bae2a2406f6173e99d41ccae949d0fb83feb8937161363cc754be9624aeba9",
+        "residual": "19f2a5e4038e1b612d4ca601906c26d5acd5595eba520fa8bcab7b3f4936667e",
+        "iterate_norm": "ae71c92ed330bc2ce74ad629243c9552f716ea13467b0bf879f52a9d8958dfd3",
+        "phi_to_target": "3646b597d5716281b3b424ff091fee34c799c09c815e83b1cf5089c5c34195e5",
     }),
 }
 
@@ -105,54 +113,54 @@ GOLDEN = {
 # scalar fast paths, so one set holds on both loops
 GOLDEN_LIBM = {
     "example-1": {
-        "residual": "d7654bd12919560bf63a6db4419ccfad3c3dfcf4d57a99f4cc164cd830de8aef",
-        "iterate_norm": "4245d49a5862bffaa1939a2be454f90d69ebd235a820677e49a8f21e360dac0c",
-        "phi_to_target": "00aa91b4f5163573ae01f07e5b8d764d58cc2d12692524ba447562f13091ae4c",
+        "residual": "9248d7b7b1b626c1b5b0754ba8db86ecb098365e456facfa4a94309d6f7776c1",
+        "iterate_norm": "b0418ac0bcd1c22e53cf914d3253a58bcaf781525677a74b1c69b3ce1165a019",
+        "phi_to_target": "ac22d1eb4c3a508c03a1ddd4bd8caecc46adb952d20620f307f459628609ed23",
     },
     "example-1-1e-12": {
-        "residual": "d78488549f282b44562ae0395cb2f797370d3d72826905fed275f0e34012df72",
-        "iterate_norm": "33253d4543d642d2229413241f3750e187f9b6846f02a0ec73111cef2059ba7e",
-        "phi_to_target": "bac36bf62e26b86abf8e592372e089093a72e1b75d3c7162d0525382a148b74e",
+        "residual": "042310f5e6ddbd92e074cb2e98096c7a253fca848da51e2f0b2ccece39e20916",
+        "iterate_norm": "b2805a98acb60db65a9db6eb07d06d5ace7aac970634cfa6b5ce337aef34c224",
+        "phi_to_target": "5bfc94252e9609fa20ab205d0aa426eb9f846902c2789cc8a6d7494cbc59ac4a",
     },
     "example-1-M1e5": {
-        "residual": "7299daa0aa8165972e567ffcc9bda9b348c53fb1e3e14ad63dacf1c0c93559a9",
-        "iterate_norm": "51adac96ce096a7637592a13b447aeaf517528bb899f90dc83dd63671a5d0fc2",
-        "phi_to_target": "b7ee83a07266112c7b92c6f716fb4e6badd6de817273c64608b77b82bfad7ad5",
+        "residual": "4d8fc3d73a59d7ebfd733fe22e32ff92d40a828c0b1414ccaf47089ce2b1f44e",
+        "iterate_norm": "9b7dae1b353cf15be9b4d3d3988073e2d80ef653f331e7790e943e9b55de7cce",
+        "phi_to_target": "2c4e50e6da302eac521fe0d85d57414dbfaa71988ab6fce30b51c173b21a6f8d",
     },
     "example-2": {
-        "residual": "63b07d302fa7acbc274bc6d4a7a4e358d4ab532cce21668e7ecd59aa556d13fa",
-        "iterate_norm": "7051ed9817d261da08daf30dea0ec5b4dc6fbdd49ca00e402695507d2cfef8ce",
-        "phi_to_target": "5aeacdf506082cb6df28c67a6da1c408f0d65524bdc96cc4708d86a099a077c4",
+        "residual": "06e67e368fd85c294969fa01c0b2bc354d320476e874766da02f9818902877ec",
+        "iterate_norm": "a1a18c607ff6b1662203c1254f7b7c5b1f12f5c61767ceb0829a908f8f6ebc2a",
+        "phi_to_target": "eb51d1b22cfa966ab72af0fcfc8538db6f02ac95bdf7cb03e8e4039834c51d4b",
     },
     "example-3": {
-        "residual": "7b72975891cae082d4c3d334bf5bdb3932e0abbe2c57cea8e58538259373ed30",
-        "iterate_norm": "16256064b2b2dc03672f227b7ba72929fe67abd08a7bb7e5b388628b84a3bd7a",
-        "residual_dual": "5c5b9714756ebb4185dad617435604dfee939c5e63fc25128dbf052cdaa397a7",
-        "phi_to_target": "6b55e7861c952f31ea8a6c3223dbad7795e4142accd14b728ce4e2eeefb9ea84",
+        "residual": "78ccf8af4b856b7720e879c723a836717a3b778bc30ab6983f9ad2c12f41f963",
+        "iterate_norm": "5711ba9e3580b56e13db1fdb5dd8c90ca2c51b3589ee1dc303e17cf19a58e2f0",
+        "residual_dual": "c000ea35f5d35d318e098cbfeb8c04e48c27da9709364e98d264e1637de13b8d",
+        "phi_to_target": "68c3d9ceae7e3f21d1ceed026b4895086326771acdaaca682b73c7a5fe7c02e4",
     },
     "hammerstein-kernel": {
-        "residual": "28169a2094c6fac3b4a7e242668bc5c4abd47aac06f82e7d4155601ace9e5f59",
-        "iterate_norm": "95152329151a30da44326789a7881cee8ffa7f9faf08ba3409c550cbd0861561",
-        "residual_dual": "2e10f38acfdf45c1e1ba5be0c2d9f7551bddce308875c4e9dffb081b83f556f0",
+        "residual": "a0478eee47cf62fe1ecac8d32a591bddbec61140fdc1eefd28b086214e762f2f",
+        "iterate_norm": "2310e6571887e635aad4660dd5a69ef21c98396471bf337989fb70fb5e8baf76",
+        "residual_dual": "98b2827ec7a12514ca2e46604e18fabf137d2d8faf1c946c37906a54f5c40d03",
     },
     "hammerstein-partial-target": {
-        "residual": "5d7420ae7ab2ff0245a3bfd8a3da9688803d9af3ba9bf1fddabb5a7c35eb5389",
-        "iterate_norm": "15ecd8985e71c77d44c1f000d9f274625fd781d7970b3f0127e0f5a4fb1fc563",
-        "residual_dual": "488aecc1d3b1bccdb7264fc911f0129e5dbd18b6a615182ba0f1335826fcff6a",
-        "phi_to_target": "24b1d58e9b7c5072d6683abf8aee01ae706ce504ae8e0bebf5b91acf0307f3b0",
+        "residual": "4a4bca4f6672df6186d75286346956861ffbc7fa7f26267c0f7fea81b007bef2",
+        "iterate_norm": "67f138b0de9b4b21c3dc6b0c0a7a2bab69eefe416a89f06f311a1655ae4e25ec",
+        "residual_dual": "50303d581e7f588fd0b6e81d807ceaebdadab3b2be00ebaa59d48e3b2c65b3dc",
+        "phi_to_target": "92adc952705e911ef9ca4b9c4bca055609a0d95f5c57053183a27105a3b04a99",
     },
     "jfixed": {
-        "residual": "f77c02cd933bdeaf134a40a76d8f029d4c291e27445980ac893507ab4efedb06",
-        "iterate_norm": "9e47c0655f2badcad8aef813a7cda0d7fe99a8c50c18342364dfaa88c168d1a7",
+        "residual": "38e8e5aa6da1e4970a461647ee453b6e99eeff97a26275fc1cf718ec00feb131",
+        "iterate_norm": "a06fc3c6de48c84db8813b76422e3eceebc8f82065aa7f99fac57f0a70f846ea",
     },
     "nonzero-target": {
-        "residual": "acad9a31a35c88d757d926a844d00d3730fe057572a92105b2804a028c57b535",
-        "iterate_norm": "f60222a5f18cf0c39e148721ba11b13391548bc7fb451aa9caa6ca7951220e86",
-        "phi_to_target": "916ffeff75f2f21916af9f386bdd24faa2e77179a117637f2fbdafbbbd99043e",
+        "residual": "ea009dc7b23638760c08dd786fc54ccbad3d6e5ebc72956c0992b2b274dd4275",
+        "iterate_norm": "ba512fae952aab210cf752dc7784de50ee8e0b76e3352b50364432cf885abe6d",
+        "phi_to_target": "3646b597d5716281b3b424ff091fee34c799c09c815e83b1cf5089c5c34195e5",
     },
     "vi": {
-        "residual": "d7654bd12919560bf63a6db4419ccfad3c3dfcf4d57a99f4cc164cd830de8aef",
-        "iterate_norm": "4245d49a5862bffaa1939a2be454f90d69ebd235a820677e49a8f21e360dac0c",
+        "residual": "9248d7b7b1b626c1b5b0754ba8db86ecb098365e456facfa4a94309d6f7776c1",
+        "iterate_norm": "b0418ac0bcd1c22e53cf914d3253a58bcaf781525677a74b1c69b3ce1165a019",
     },
 }
 

@@ -1,5 +1,8 @@
 """Export formats: CSV/JSON/log-log structure, lossless float round-trips,
-and config-driven reproducibility."""
+config-driven reproducibility, and the sha256 of three runs' exports.  The
+pins hold the engine's carried dual values: the iterate norm is J^{-1}'s
+norm of the step's dual vector y_{n+1}, and phi pairs the target with
+y_{n+1} as J x_{n+1} (see tests/test_golden.py)."""
 
 import hashlib
 import json
@@ -173,28 +176,28 @@ EXPORT_RUNS = {
 }
 
 EXPORT_SHA256 = {
-    ("example-1", "csv"): "65332c319b32546dbcaa3459332dd5a9eba3c9555c278227a36d423c787bd4d5",
-    ("example-1", "json"): "467897118bc19a48ca938551ec97f98d0b11a3c15b3f343f1476d8099354df2c",
-    ("example-1", "loglog"): "03869b6c2d669c03e92d0b87fc7625616fe4799a2cde4149f49a0af14db1f4e1",
-    ("example-3", "csv"): "6e3e8f25a14b9439a26edc34916e7d902b82cc119396c195c13b11095bdf2cc2",
-    ("example-3", "json"): "4711f9107538321e690cef5de9e91a4112ce8a81416df855952b80171122e07c",
-    ("example-3", "loglog"): "ecd5653be94ad5c90317f34d8488667fb98f8d2526b14f6ebbe2754c5c36ebc5",
-    ("vi", "csv"): "2b8ce061df69da5b3e07dbcadaeb477ffa83b712a78811a9fc01aa4c968fb157",
-    ("vi", "json"): "13aa55c01b8f496c135f64a121f6ccd6a306a13bf3b226bbc1c27a6b74dc69b2",
-    ("vi", "loglog"): "ed65ae915565f54bd850610e367abf4f410dd0ecca2678f312c7d0ebd4e3c8aa",
+    ("example-1", "csv"): "6318bfb493e6039ff84c0d7bf01193898acd5235118168b4cde20fee47f2bc39",
+    ("example-1", "json"): "2486ca27b542754b2f14e9b1607ae40dfcf062909f5beb7e0db9d8a7dc4ef055",
+    ("example-1", "loglog"): "517b39e9389403e1c0a7d71314c95384b13c44f0a917e558c607816a61aee8cd",
+    ("example-3", "csv"): "1c8d39e3032949913f3480705d6c4d66f444b7d8f123cd4b10ac5bb134d26248",
+    ("example-3", "json"): "d3412a45077a10c6f6e865d36e3af453804bef83eb773b0d4c4241e078e95534",
+    ("example-3", "loglog"): "5928c8c53005f024adbac5beda03d8cb30f13b6492ddc8a7f1cc9e4a54a70b7b",
+    ("vi", "csv"): "db553c2dcec5402cff7655a251892d4085c2678d832ab8c62fa35f74a3343a76",
+    ("vi", "json"): "a819504e8553e2adb72822c850fdddf27090408f8e76fc60ad20757351abb6dc",
+    ("vi", "loglog"): "0aeef3f3f6798c5c0ddd7c2fa11225c88800a69e08a15eff5cd4219bf751230b",
 }
 
 # the same exports on numpy's libm power loop (conftest.power_loop)
 EXPORT_SHA256_LIBM = {
-    ("example-1", "csv"): "2a98a325e2a843ef52b505680044be068ae924af13eacdd3906526c692214783",
-    ("example-1", "json"): "1c8054caf271b35d35ec6ae69ffe240344de057a2d999101a506f9e5cfa5bd3c",
-    ("example-1", "loglog"): "d2bd8102018fe720b721278f1f0d28cedb3eae89fdecac45eca197de733d805c",
-    ("example-3", "csv"): "3c79508d84c5949d4dbbf48139914c767a8aa106230d354b61f5169b42d65860",
-    ("example-3", "json"): "ed5ef004f6206cc85427df3a3e0172e7201e1a7e91daf79c6c1887f4b9415e7b",
-    ("example-3", "loglog"): "fb416d37399f67809fb4706b79c1444b02637ca1f19beac0150539fa6f2e029f",
-    ("vi", "csv"): "7f6c2197165c335041a7f5879f2c3392c523ba04a03e0a6ac1adb7527fe923fc",
-    ("vi", "json"): "849fabe25ac700fee244e71969e6b894eeab410be8c9e85ff4888e08d8d06be9",
-    ("vi", "loglog"): "e06703a40cbddeb288e34d75b0bfaa54417d688a7f889ebfed00d4f63caf53d7",
+    ("example-1", "csv"): "e0a40fa882c9cff48eb548d778e568530e6e2638081689b806eef2b4850679b2",
+    ("example-1", "json"): "aaf10da88f0aa4a25c1dc5212075e5379e2e4a3b49dcd17a777714ffe47ba181",
+    ("example-1", "loglog"): "16bcbeb4207e2f4cfce8f4544c10862c0c500f478109f4559cf8b5e004f4a917",
+    ("example-3", "csv"): "b3ec8846dad1c2b1cf51765c23f62c6d74e72b855f31abf9ec4c643b4839129f",
+    ("example-3", "json"): "025dd8a8ab92ae2568e3152fc5be3040f10d3aa03ba906f68a03da518bf7b664",
+    ("example-3", "loglog"): "ed3e8606b00b2e96be498a9368587c579d9bf57e49e2d381ec44d083d0f127c0",
+    ("vi", "csv"): "8656d2f5ded8bb6fba5781b28e66f3a9951fe02b902d2f8ea926b72f06d6a14c",
+    ("vi", "json"): "a988d153f75969ddb2f146d88490b8eaf3e736d6256ee7b7d0486329934cee54",
+    ("vi", "loglog"): "9cbf9daaf362d9949ed7e66549d3e27de16d5a85fa06f8ed6aa201d2a6b50e8e",
 }
 
 

@@ -39,7 +39,7 @@ from lpmono import (
     zero_op,
 )
 from lpmono.duality import duality_values
-from lpmono.grid import pairing
+from lpmono.grid import nodes, pairing
 from lpmono.operators import feasibility_violation, vi_normal_cone_selection
 from lpmono.solver import regularization_path_residual
 
@@ -564,6 +564,28 @@ class TestKernelHammerstein:
         assert lp_norm(v, ctx.q) <= 0.05
 
 
+class TestNonzeroZero:
+    """A problem whose zero is not 0: A x = (1 + t)(x - g), g = cos(pi t) + 1/2.
+
+    Every golden run has the zero 0, where the theta pull toward 0 and the
+    zero agree.  Here they do not: ``converged`` means the step fell below
+    tol while x_n sits on the regularized path theta_n J x + A x = 0, whose
+    point at the slowly vanishing theta_n is still well short of g.  The
+    pinned distance shows any bias that the carried dual vector brings into
+    that pull."""
+
+    @pytest.mark.parametrize("p, nfe, gap", [(1.5, 8155, 0.2472124), (2.0, 9444, 0.2803378)])
+    def test_stops_on_the_path_short_of_g(self, p, nfe, gap):
+        ctx = LpContext(p=p, M=100)
+        t = nodes(ctx.M)
+        g = GridFunction(np.cos(np.pi * t) + 0.5)
+        A = MonotoneOp(kernel=lambda v, out: np.multiply(1.0 + t, np.subtract(v, g.values, out), out),
+                       name="shifted-mult")
+        x, trace = solve_zero(A, GridFunction.from_callable(INV_QUAD, ctx.M), config(ctx))
+        assert trace.converged and trace.nfe == nfe
+        assert lp_norm(x - g, p) / lp_norm(g, p) == pytest.approx(gap, rel=1e-6)
+
+
 class TestRegularizationPathResidual:
     def test_zero_point_zero_residual(self, ctx):
         assert regularization_path_residual(mult_op(), GridFunction.zeros(ctx.M), 0.5, ctx) == 0.0
@@ -617,27 +639,34 @@ class TestOperatorContract:
 
 class TestEdgeBranches:
     """The first steps of the engine equal the recursion written out with the
-    public maps, bit for bit, on starts that reach the zero-norm branches."""
+    public maps in the dual form, bit for bit, on starts that reach the
+    zero-norm branches."""
 
     @staticmethod
     def transcribe(A, x1, ctx, cfg):
-        """Per step: the residuals, ||x_{n+1}||, phi(target, x_{n+1}) and x_{n+1}."""
+        """Per step: the residuals, ||x_{n+1}||, phi(target, x_{n+1}) (None without a
+        target) and x_{n+1}.  The dual vector y_{n+1} is carried as J x_{n+1}, zeroed
+        where J^{-1}'s norm is 0, and that norm, ||y_{n+1}||, is ||x_{n+1}||."""
         exps = (ctx.p, ctx.q)[: len(x1)]
-        t = (cfg.target.u, cfg.target.v) if len(x1) == 2 else (cfg.target,)
         norm_of = lambda ns: ns[0] if len(ns) == 1 else float(np.hypot(*ns))
-        nt = norm_of([lp_norm(f, r) for f, r in zip(t, exps)])
+        if cfg.target is not None:
+            t = (cfg.target.u, cfg.target.v) if len(x1) == 2 else (cfg.target,)
+            nt = norm_of([lp_norm(f, r) for f, r in zip(t, exps)])
         x = [f.values for f in x1]
         jx = [duality_values(v, r)[0] for v, r in zip(x, exps)]
         steps = []
         for n, a, th in cfg.schedule.steps(cfg.max_iter):
             ax = A(x)
             dual = [(j - ax_i * a) - j * (a * th) for j, ax_i in zip(jx, ax)]
-            xn = [duality_values(v, rd)[0] for v, rd in zip(dual, (ctx.q, ctx.p))]
+            xn, ns = zip(*(duality_values(v, rd) for v, rd in zip(dual, (ctx.q, ctx.p))))
             res = [lp_norm(GridFunction(u - v), r) for u, v, r in zip(xn, x, exps)]
-            jx, ns = zip(*(duality_values(v, r) for v, r in zip(xn, exps)))
+            jx = [np.zeros_like(y) if nd == 0.0 else y for y, nd in zip(dual, ns)]
             norm = norm_of(ns)
-            tj = sum(pairing(f, GridFunction(j)) for f, j in zip(t, jx))
-            steps.append((res, norm, nt * nt - 2.0 * tj + norm * norm, xn))
+            phi = None
+            if cfg.target is not None:
+                tj = sum(pairing(f, GridFunction(j)) for f, j in zip(t, jx))
+                phi = nt * nt - 2.0 * tj + norm * norm
+            steps.append((res, norm, phi, xn))
             x = xn
             if max(res) < cfg.tol:
                 break
@@ -687,35 +716,38 @@ class TestEdgeBranches:
 
 
 class TestHeldIterates:
-    """Iterates handed to the callback, and the one returned, stay as they were."""
+    """Iterates handed to the callback, and the one returned, stay as they were:
+    each equals its step of the dual-form recursion, bit for bit."""
 
     @staticmethod
-    def check(solve, args, cfg, norm):
+    def check(solve, args, cfg, A):
         held = []
         *final, trace = solve(*args, cfg, callback=lambda n, *xs: held.append(xs))
-        assert len(held) == trace.nfe >= 5
-        for xs, row in zip(held, trace.rows):
-            assert norm(*xs) == row.iterate_norm
-        assert norm(*final) == trace.final.iterate_norm
+        expected = TestEdgeBranches.transcribe(A, args[1:], cfg.ctx, cfg)
+        assert len(held) == len(expected) == trace.nfe >= 5
+        for xs, row, (_, norm, _, xn) in zip(held, trace.rows, expected):
+            assert row.iterate_norm == norm
+            assert [x.values.tobytes() for x in xs] == [v.tobytes() for v in xn]
         for a, b in zip(final, held[-1]):
             assert np.array_equal(a.values, b.values)
 
     def test_lp(self, ctx):
         x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
-        self.check(solve_zero, (mult_op(), x1), config(ctx, tol=1e-3), lambda x: lp_norm(x, ctx.p))
+        A = mult_op()
+        self.check(solve_zero, (A, x1), config(ctx, tol=1e-3), lambda x: [A(x[0])])
 
     def test_hilbert(self):
         ctx2 = LpContext(p=2.0, M=100)
         x1 = GridFunction.from_callable(INV_QUAD, ctx2.M)
-        cfg = config(ctx2, tol=1e-3)
-        self.check(solve_zero_hilbert, (mult_op(), x1), cfg, lambda x: lp_norm(x, 2.0))
+        A = mult_op()
+        self.check(solve_zero_hilbert, (A, x1), config(ctx2, tol=1e-3), lambda x: [A(x[0])])
 
     def test_product_space(self, ctx):
         u1 = GridFunction.from_callable(INV_QUAD, ctx.M)
         v1 = GridFunction.from_callable(lambda t: np.exp(-t), ctx.M)
-        args = (hammerstein_example(), u1, v1)
-        norm = lambda u, v: float(np.hypot(lp_norm(u, ctx.p), lp_norm(v, ctx.q)))
-        self.check(solve_hammerstein, args, config(ctx, tol=1e-3), norm)
+        pair = hammerstein_example()
+        A = lambda x: [pair.F(x[0]) - x[1], pair.K(x[1]) + x[0]]
+        self.check(solve_hammerstein, (pair, u1, v1), config(ctx, tol=1e-3), A)
 
 
 class TestAllocations:
