@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, LpContext, abs_norm, lp_norm, pairing, trapezoid_weights, weighted_sum
+from .grid import GridFunction, LpContext, lp_norm, pairing, trapezoid_weights, weighted_sum
 
 class NoRootError(ValueError):
     """The t_p equation has no root on (0, 1] for the requested exponent."""
@@ -30,18 +30,20 @@ def duality_into(v: np.ndarray, r: float, w: np.ndarray, out: np.ndarray, scratc
     """The normalized duality map of the weighted l_r space, into ``out``.
 
     Writes ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) (zero for v = 0) into
-    ``out`` (not v) and returns ||v||_r, both from one |v|; ``w`` is the
-    grid's weights.  With r = p this is J, with r = q it is J^{-1}; the
-    engine's step repeats this arithmetic bit for bit in fewer passes.  The
-    sign is copied from v in one pass, which equals multiplying by sign v
-    bit for bit except at a -0.0 node, which maps to -0.0.  Overflow gives
-    inf or nan values.
+    ``out`` (not v) and returns ||v||_r, both from one power: the norm's
+    |v|^r is |v|^{r-1} |v|.  ``w`` is the grid's weights, and ``scratch``
+    (not v) receives |v| and the norm's terms.  With r = p this is J, with
+    r = q it is J^{-1}; the engine's step repeats this arithmetic bit for
+    bit.  The sign is copied from v in one pass, which equals multiplying
+    by sign v bit for bit except at a -0.0 node, which maps to -0.0.
+    Overflow gives inf or nan values.
     """
-    norm = abs_norm(np.abs(v, out), r, w, scratch)
+    np.power(np.abs(v, scratch), r - 1.0, out)
+    norm = weighted_sum(np.multiply(out, scratch, scratch), w, scratch) ** (1.0 / r)
     if norm == 0.0:
         out.fill(0.0)
     else:  # norm^(2-r) * |v|^(r-1), grouped as the formula reads, then v's sign
-        np.multiply(np.power(out, r - 1.0, out), norm ** (2.0 - r), out)
+        np.multiply(out, norm ** (2.0 - r), out)
         np.copysign(out, v, out)
     return norm
 

@@ -37,7 +37,8 @@ class ParamSchedule:
     ``alpha`` and ``theta`` map an iteration index n >= 1 (scalar or
     integer array) to values in (0,1); ``theta`` must be non-increasing
     with limit 0, and alpha_n <= gamma * theta_n must hold.  ``block``
-    maps i >= 1 to the strictly increasing block index n(i).
+    maps i >= 1 to the strictly increasing block index n(i).  :meth:`steps`
+    checks these rules (all but the limit) on every chunk it evaluates.
     """
 
     alpha: Callable
@@ -47,11 +48,41 @@ class ParamSchedule:
     meta: dict = field(default_factory=dict)
 
     def steps(self, count: int):
-        """(n, alpha_n, theta_n) for n = 1..count, read from array chunks of alpha and theta."""
+        """(n, alpha_n, theta_n) for n = 1..count, read from array chunks of alpha and theta.
+
+        Each chunk is checked when it is evaluated, before its first step: both
+        rules return a float64 array of the chunk's length, with values in
+        (0, 1); alpha_n <= gamma * theta_n; theta_n <= theta_{n-1}, across
+        chunks too.  A broken rule raises a ``ValueError`` naming n.
+        """
+        prev = 1.0  # theta_1's bound: the range check already holds it below 1
         for start in range(1, count + 1, _STEP_CHUNK):
             stop = min(start + _STEP_CHUNK, count + 1)
             n = np.arange(start, stop)
-            yield from zip(range(start, stop), memoryview(self.alpha(n)), memoryview(self.theta(n)))
+            alpha = _chunk("alpha", self.alpha(n), start, stop)
+            theta = _chunk("theta", self.theta(n), start, stop)
+            _first_false("alpha_n <= gamma * theta_n", alpha <= self.gamma * theta, start)
+            _first_false("theta_n <= theta_{n-1}", theta <= np.append(prev, theta[:-1]), start)
+            prev = theta[-1]
+            yield from zip(range(start, stop), memoryview(alpha), memoryview(theta))
+
+
+def _first_false(rule: str, holds: np.ndarray, start: int) -> None:
+    """Raise naming the first n = start + i where ``holds[i]`` is False."""
+    if not holds.all():
+        raise ValueError(f"schedule breaks {rule} at n = {start + int(np.argmin(holds))}")
+
+
+def _chunk(name: str, values, start: int, stop: int) -> np.ndarray:
+    """``values`` of rule ``name`` at n = start..stop-1, checked: float64, in (0, 1)."""
+    got = (getattr(values, "dtype", type(values).__name__), np.shape(values))
+    if got != (np.float64, (stop - start,)):
+        raise ValueError(
+            f"schedule {name} returned {got[0]} of shape {got[1]} for n = {start}..{stop - 1}, "
+            f"not a float64 array of shape ({stop - start},)"
+        )
+    _first_false(f"0 < {name}_n < 1", (values > 0.0) & (values < 1.0), start)
+    return values
 
 
 def default_schedule(

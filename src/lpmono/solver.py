@@ -228,7 +228,8 @@ def _iterate(
     Each step appends its trace values to one buffer per column, which
     becomes the trace's column at the end.  Returns copies of the final
     components followed by the trace.  J^{-1} takes ``duality_into``'s
-    arithmetic and the residual ``abs_norm``'s, bit for bit; J x_{n+1} is
+    arithmetic bit for bit: one power |y|^{r-1} gives the map and, times
+    |y|, the norm's |y|^r.  The residual takes ``abs_norm``'s.  J x_{n+1} is
     the dual vector y_{n+1} itself and ||x_{n+1}|| is J^{-1}'s ||y_{n+1}||,
     both exact in exact arithmetic, so J is evaluated once per solve.
     """
@@ -247,7 +248,8 @@ def _iterate(
     w = trapezoid_weights(ctx.M)
     # per component: x_n and x_{n+1}, swapped each step, with read-only views for the operator;
     # J x_n, A x_n and scratch. The step writes y_{n+1} over A x_n; J^{-1} puts |y_{n+1}| in
-    # scratch, with x_{n+1}'s buffer as its own scratch. y_{n+1} is then J x_{n+1}, so the J x
+    # scratch and |y_{n+1}|^(r-1) in x_{n+1}'s buffer, which it scales into x_{n+1}; the norm's
+    # terms overwrite the scratch. y_{n+1} is then J x_{n+1}, so the J x
     # and A x buffers swap roles, and the next operator writes over J x_n
     x = [f.values.copy() for f in x1]
     xn, jx, ax, sc = ([np.empty_like(v) for v in x] for _ in range(4))
@@ -259,9 +261,9 @@ def _iterate(
     for v, r, jv, s in zip(x, exps, jx, sc):
         duality_into(v, r, w, jv, s)
     # per component: index, scratch, residual column, the norm exponent r and 1/r, and J^{-1}'s
-    # rd, 1/rd, rd - 1 and 2 - rd; a 0-d exponent saves the conversion numpy makes of a float
+    # 1/rd, rd - 1 and 2 - rd; a 0-d exponent saves the conversion numpy makes of a float
     comps = [(i, sc[i], cols[k].append, np.array(r), 1.0 / r,
-              np.array(rd), 1.0 / rd, np.array(rd - 1.0), 2.0 - rd)
+              1.0 / rd, np.array(rd - 1.0), 2.0 - rd)
              for i, r, rd, k in zip(range(len(x)), exps, (ctx.q, ctx.p), names)]
     push_norm, push_time = cols["iterate_norm"].append, cols["elapsed"].append
     # the step's scalars, written per step into 0-d arrays made once: numpy takes a 0-d array
@@ -277,16 +279,17 @@ def _iterate(
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
         top = 0.0
-        for i, s, push, r, ir, rd, ird, rd1, rd2 in comps:
+        for i, s, push, r, ir, ird, rd1, rd2 in comps:
             xi, xni, yi = x[i], xn[i], ax[i]
             step(jx[i], y[i], alpha, alpha_theta, one_minus_alpha, yi, s)
-            nd = float(add_reduce(multiply(w, power(absolute(yi, s), rd, xni), xni))) ** ird
+            power(absolute(yi, s), rd1, xni)
+            nd = float(add_reduce(multiply(w, multiply(xni, s, s), s))) ** ird
             if nd == 0.0:
                 yi.fill(0.0)
                 xni.fill(0.0)
             else:
                 f[()] = nd**rd2
-                copysign(multiply(power(s, rd1, s), f, s), yi, xni)
+                copysign(multiply(xni, f, xni), yi, xni)
             jx[i], ax[i] = yi, jx[i]
             absolute(subtract(xni, xi, s), s)
             res = float(add_reduce(multiply(w, power(s, r, s), s))) ** ir

@@ -429,7 +429,9 @@ class TestLadderSlicing:
         for rec in records:
             assert_same_record(rec, execute(example_config(which, tol=rec.config["tol"])))
         if which == 2:
-            assert [r.trace.nfe for r in records] == [58, 584, 2874]
+            # the 1e-3 rung is set by rounding: the exact run stops at 2876
+            # (tests/test_oracle.py::test_example_2_rung_1e_3)
+            assert [r.trace.nfe for r in records] == [58, 584, 2882]
 
     def test_rung_past_max_iter_is_unconverged(self, capsys):
         records = run_example(1, ladder=True, ladder_min_tol=1e-9, max_iter=100)

@@ -15,7 +15,11 @@ arithmetic these are J x_{n+1} and ||x_{n+1}||_p.  The pins were re-recorded
 when those carried values replaced J and the norm recomputed from x_{n+1}:
 every NFE stayed, and ``hilbert`` and ``zero-p2`` kept their bits.  The
 exact replay in ``tests/test_oracle.py`` shows the carried columns closer
-to exact than the recomputed ones.
+to exact than the recomputed ones.  They were re-recorded again when each
+duality map came to take |y|^r as |y|^(r-1) |y|, one power per map instead
+of two: every NFE and ``converged`` stayed, ``hilbert`` and ``zero-p2`` kept
+their bits (at r = 2, |y|^1 |y| equals numpy's square), and the oracle's
+bounds held on both loops.
 """
 
 import hashlib
@@ -45,32 +49,32 @@ COLUMNS = ("residual", "iterate_norm", "residual_dual", "phi_to_target")
 
 GOLDEN = {
     "example-1": (509, {
-        "residual": "60411e43d92f144351f290514039c43341cfd465ffc5442a5b90e9f56375eada",
-        "iterate_norm": "ca37ae147da21a3816b7204296505c0b0862de72d82a06df7cc5687bfa67d2de",
-        "phi_to_target": "9cb6952799543ed39c048a0dc9ca229e10060a65b2cea1638651bb081b667b2b",
+        "residual": "8ed5a209d196168bb9287eca7fd01f9735c749e3100b0fb7629a687536d2d903",
+        "iterate_norm": "00e2c21517aedb45921de7b91abe05c0e4c80ae6f2bf5e053ad6e385d7ce2b25",
+        "phi_to_target": "745c6d84871445b39c8204bdcd5ef3fac1fb4a654024e1053b32efc0700e497b",
     }),
     # longer than one 4096-step schedule chunk
     "example-1-1e-12": (5482, {
-        "residual": "3b34099512146c09a896bc1aab03799cbe91921c25d987d679eba47807127455",
-        "iterate_norm": "cbf5c33f4bdb5a08acbd21f5bd24126899aa4cd2f3f68c9d4dfd80cfc8687fb5",
-        "phi_to_target": "8264098192849d932f191623ebd34f7e2eb7f486c8af82394988a909d53a056b",
+        "residual": "ffd195e90fdf5cb9a660c88f72965020c8fef8f3f39ab6f2e1f933fe5eeff46e",
+        "iterate_norm": "c2a6e9206ea7100127443e4b5bdae6ea4ad3c7768d9986e35976dfe78784cd90",
+        "phi_to_target": "ad3708c638f6dc37bfc6dd0b92a8e9d2df5563da7841fa1a350d1cb14579f2f6",
     }),
     # a fine grid, where every nodal pass dominates the step
     "example-1-M1e5": (53, {
-        "residual": "136efbb11d6ed92dfef4bde15bdf99315364909460b26625be37bf33d7005aa9",
-        "iterate_norm": "52290086213314ac38db87d452646a5bd17b8cacf47c50db61c83488b4282cb4",
-        "phi_to_target": "663ddccd234645c8f5a45495d53bdca1be95a558a27b1181d5e0ab50bc2a0475",
+        "residual": "7f8e6b476836b22500a3deac1fab83f6a4532647a3e33229fa8f5fa274f8cb0d",
+        "iterate_norm": "6c7eec826c2f03193afc5df58549f0d3e57c8b9caad4c25200dceae4c34844d8",
+        "phi_to_target": "d85701c28e391be0689e1ede7c7f2c872add66ea4533d3d568f8c110643705ae",
     }),
     "example-2": (584, {
-        "residual": "c271636b5b8454acc835139906b1fcea96cb15dd4ea483dc752157a085081ba9",
-        "iterate_norm": "ea8e8fe25a1e24c1e2f611c70e23156eecd1175fae80424406c043b3355f036e",
-        "phi_to_target": "798b4bc7f5f934e46571a37fb2f6832ea3e164aa0fe32815f8d404c970c20c37",
+        "residual": "b70ebc0ae0ef87e7a4a3a58579cf6ec4629837918c788e8585f618b6ef64c945",
+        "iterate_norm": "4ee235d53a3104cca79c03a33f6a7cb00663df82dd9cc523f665ea550f13fd93",
+        "phi_to_target": "abd157364290bebe0076bc23815c2b6d8c83e26bfcd4aeffcb90d5c318417d7f",
     }),
     "example-3": (2040, {
-        "residual": "db9b01a4ce19255f9e103c8be1731fa5d4566727bd6cf389f07b8b5d503f0c9e",
-        "iterate_norm": "f1894555afb303935f72a8f2b232a9ea47989f3497fc9bbf2be43dd12d69dbdc",
-        "residual_dual": "c29836090d4d1cfd96340126c041e863dabed7b80280edfa64c69c5a9df4cf94",
-        "phi_to_target": "32af40751d3956d4e8e12b58873906e4313cca46803692ff2e9b9ca10f2c757c",
+        "residual": "2cb937bea68afc62926c841ddf8e26eb4382a441e5cebcece6176c3a7b91e3e0",
+        "iterate_norm": "f19fbf77506617a3f15244d8d53e8f213713461b7ccd4c78a4fc026737e1d30c",
+        "residual_dual": "3b8a4d15d8d53ec594fb88968e761872df539643454d98a75d4505a185da60f0",
+        "phi_to_target": "ed953a45e7ad141d9e55b8e1a27ba47885ea8d7ef93dd5660bff203683b95e17",
     }),
     "hilbert": (546, {
         "residual": "b410a8bd0cc686560e4f7ddfae6eb96397cd7f05c3eebf3e50b340c104b24884",
@@ -82,28 +86,28 @@ GOLDEN = {
         "iterate_norm": "c107190afebaa5f51a40aa9941f886b1544b8a27f82a51ade362b54e0f47745f",
     }),
     "jfixed": (509, {
-        "residual": "bb0d986f03bb5bfd373e20373a42d80a60cb8c10739eed73e669e1fa26cf6ea0",
-        "iterate_norm": "9280e19707de12f6c87b1daad8747bafbe6df9922216771a904e058dd7e5653d",
+        "residual": "987395a0fd23b684628e9992c1c179f215d300492802ad1058cfae2e181b1e02",
+        "iterate_norm": "7fcb035e647ea3223bb474964f75c2e54330dd8db45cd5361dfeea9a6efb5bff",
     }),
     "vi": (509, {
-        "residual": "60411e43d92f144351f290514039c43341cfd465ffc5442a5b90e9f56375eada",
-        "iterate_norm": "ca37ae147da21a3816b7204296505c0b0862de72d82a06df7cc5687bfa67d2de",
+        "residual": "8ed5a209d196168bb9287eca7fd01f9735c749e3100b0fb7629a687536d2d903",
+        "iterate_norm": "00e2c21517aedb45921de7b91abe05c0e4c80ae6f2bf5e053ad6e385d7ce2b25",
     }),
     "hammerstein-kernel": (2773, {
-        "residual": "3030fed44129d8c626f299249f95887a43b6d20da6b57a89e0c54c0d254ebe7c",
-        "iterate_norm": "d601144c87d3a66e891ddebd9b21436e3750ecb7616615a0bb9949b172505053",
-        "residual_dual": "d117e6ad43e7a3cb18324f4d7ee6664f88b4433f08ff9b587f0c95eaddb07896",
+        "residual": "76a273be0aa1594ed8c08bb03ec69455d9812593c41738453ff38c6617b32857",
+        "iterate_norm": "237c3a947c1450e44d696d244798c62707f975293e8292204872510cff535068",
+        "residual_dual": "4275b2a16d89b33665a075b0409c5a9910541a866995c8f7d8c47210dc0ad3d0",
     }),
     # target [u*, 0] with u* != 0 on X x X*: one component paired, one skipped
     "hammerstein-partial-target": (157, {
-        "residual": "70a6320553b6649a0c011e8400589c31bb5b28ac40bcfe2f712f7628263bc2f0",
-        "iterate_norm": "c4d42a561ecbba7be6025aae4bf54bf5748d93c29a152656a0e90f019a521372",
-        "residual_dual": "b2d3d8b96b10a5bb75d52355a83b9ee7319021fd2574f63f4dedeb79f7964efa",
+        "residual": "8af57c96b285ae834f1724e1cfa70e4b936c20bd1c6a922f5f2fc017d9d1384e",
+        "iterate_norm": "b3160aa55967dd8cfb36f44caa66698abe0a3292e3deaae5e2cede4484f35a8d",
+        "residual_dual": "676e89fc51980977593b8619467db2cb00f4084bffd15c809631d6da619b32c7",
         "phi_to_target": "92adc952705e911ef9ca4b9c4bca055609a0d95f5c57053183a27105a3b04a99",
     }),
     "nonzero-target": (53, {
-        "residual": "19f2a5e4038e1b612d4ca601906c26d5acd5595eba520fa8bcab7b3f4936667e",
-        "iterate_norm": "ae71c92ed330bc2ce74ad629243c9552f716ea13467b0bf879f52a9d8958dfd3",
+        "residual": "fa58d06da52bd6159cad097034a3e3f9253b769d0a3432a876d1bf28f704039b",
+        "iterate_norm": "badb4e70e2d356a3eea1e111e1a90ce7f22029f189d34895437a331a847e2974",
         "phi_to_target": "3646b597d5716281b3b424ff091fee34c799c09c815e83b1cf5089c5c34195e5",
     }),
 }
@@ -113,54 +117,54 @@ GOLDEN = {
 # scalar fast paths, so one set holds on both loops
 GOLDEN_LIBM = {
     "example-1": {
-        "residual": "9248d7b7b1b626c1b5b0754ba8db86ecb098365e456facfa4a94309d6f7776c1",
-        "iterate_norm": "b0418ac0bcd1c22e53cf914d3253a58bcaf781525677a74b1c69b3ce1165a019",
-        "phi_to_target": "ac22d1eb4c3a508c03a1ddd4bd8caecc46adb952d20620f307f459628609ed23",
+        "residual": "80b884314b9d77d580e65466fc1c241a4c2ead8c19aed551ff1d067566da1399",
+        "iterate_norm": "00e2c21517aedb45921de7b91abe05c0e4c80ae6f2bf5e053ad6e385d7ce2b25",
+        "phi_to_target": "745c6d84871445b39c8204bdcd5ef3fac1fb4a654024e1053b32efc0700e497b",
     },
     "example-1-1e-12": {
-        "residual": "042310f5e6ddbd92e074cb2e98096c7a253fca848da51e2f0b2ccece39e20916",
-        "iterate_norm": "b2805a98acb60db65a9db6eb07d06d5ace7aac970634cfa6b5ce337aef34c224",
-        "phi_to_target": "5bfc94252e9609fa20ab205d0aa426eb9f846902c2789cc8a6d7494cbc59ac4a",
+        "residual": "5082f881ea68b830b739c1c27cb954ac543ae64f11b4367a46a46b221fa4f2ee",
+        "iterate_norm": "c2a6e9206ea7100127443e4b5bdae6ea4ad3c7768d9986e35976dfe78784cd90",
+        "phi_to_target": "ad3708c638f6dc37bfc6dd0b92a8e9d2df5563da7841fa1a350d1cb14579f2f6",
     },
     "example-1-M1e5": {
-        "residual": "4d8fc3d73a59d7ebfd733fe22e32ff92d40a828c0b1414ccaf47089ce2b1f44e",
-        "iterate_norm": "9b7dae1b353cf15be9b4d3d3988073e2d80ef653f331e7790e943e9b55de7cce",
-        "phi_to_target": "2c4e50e6da302eac521fe0d85d57414dbfaa71988ab6fce30b51c173b21a6f8d",
+        "residual": "aa6e27fd9addd94b867bd3d099735034e3f78ab7ac5f96ddaaaac7d05ac6062e",
+        "iterate_norm": "6c7eec826c2f03193afc5df58549f0d3e57c8b9caad4c25200dceae4c34844d8",
+        "phi_to_target": "d85701c28e391be0689e1ede7c7f2c872add66ea4533d3d568f8c110643705ae",
     },
     "example-2": {
-        "residual": "06e67e368fd85c294969fa01c0b2bc354d320476e874766da02f9818902877ec",
-        "iterate_norm": "a1a18c607ff6b1662203c1254f7b7c5b1f12f5c61767ceb0829a908f8f6ebc2a",
-        "phi_to_target": "eb51d1b22cfa966ab72af0fcfc8538db6f02ac95bdf7cb03e8e4039834c51d4b",
+        "residual": "b8d791e1c2a5272cd9982b0bb2a35f7b43b0dd91a43cd05471584d6332a01c09",
+        "iterate_norm": "091e2b6d3e495ee383e4a5dbaccf7ea1ea65799ef4b377047dbf53ee1d254fcf",
+        "phi_to_target": "d93612f98a2db5d7a50a75321b7d5c27be96351b75a7cb37fff7244dac0270a5",
     },
     "example-3": {
-        "residual": "78ccf8af4b856b7720e879c723a836717a3b778bc30ab6983f9ad2c12f41f963",
-        "iterate_norm": "5711ba9e3580b56e13db1fdb5dd8c90ca2c51b3589ee1dc303e17cf19a58e2f0",
-        "residual_dual": "c000ea35f5d35d318e098cbfeb8c04e48c27da9709364e98d264e1637de13b8d",
-        "phi_to_target": "68c3d9ceae7e3f21d1ceed026b4895086326771acdaaca682b73c7a5fe7c02e4",
+        "residual": "e1405c3f4b63ff3e82d3748e8ca2f3d24ee052a877573814527880032f4758b1",
+        "iterate_norm": "10ac00841253ec9c210338ed7d8d2f58c21dbd494691a1e75747e8b4fbc4e557",
+        "residual_dual": "12203ea4212b5c18898530d70341abd07014e2ecbc89b8529da5c4986113cf77",
+        "phi_to_target": "adfb7ba831c4598ef419e2f76bd4f7b7b02f35e5e80a6e4e9ca76e8035cf15fa",
     },
     "hammerstein-kernel": {
-        "residual": "a0478eee47cf62fe1ecac8d32a591bddbec61140fdc1eefd28b086214e762f2f",
-        "iterate_norm": "2310e6571887e635aad4660dd5a69ef21c98396471bf337989fb70fb5e8baf76",
-        "residual_dual": "98b2827ec7a12514ca2e46604e18fabf137d2d8faf1c946c37906a54f5c40d03",
+        "residual": "fd5a7431cf455a7b0e9bcb7abca4afa61a03d013ab82e9599b7f8aa3058e2605",
+        "iterate_norm": "80a09eb5be8a2785899d0875905b0e4e6009693e1dfdbd959cf4080848f14b42",
+        "residual_dual": "c8c9b4c3706192ac9189b14ccbea415b3aee9e1b48b79fd276a5f6f215d1800b",
     },
     "hammerstein-partial-target": {
-        "residual": "4a4bca4f6672df6186d75286346956861ffbc7fa7f26267c0f7fea81b007bef2",
-        "iterate_norm": "67f138b0de9b4b21c3dc6b0c0a7a2bab69eefe416a89f06f311a1655ae4e25ec",
-        "residual_dual": "50303d581e7f588fd0b6e81d807ceaebdadab3b2be00ebaa59d48e3b2c65b3dc",
+        "residual": "069eee43f8e15e672cf95cda403c9aa3ec832aea4651ecca4564d6349064c5b3",
+        "iterate_norm": "b3160aa55967dd8cfb36f44caa66698abe0a3292e3deaae5e2cede4484f35a8d",
+        "residual_dual": "5da8c0304dc4756c3c64656b321fc7199160d4f84bad0d2d6ae4b3192baecd4a",
         "phi_to_target": "92adc952705e911ef9ca4b9c4bca055609a0d95f5c57053183a27105a3b04a99",
     },
     "jfixed": {
-        "residual": "38e8e5aa6da1e4970a461647ee453b6e99eeff97a26275fc1cf718ec00feb131",
-        "iterate_norm": "a06fc3c6de48c84db8813b76422e3eceebc8f82065aa7f99fac57f0a70f846ea",
+        "residual": "862bb5f6c9aafe59dd774e12947a3a4688c9da2e16c5c8e320d174477ed4fb10",
+        "iterate_norm": "7fcb035e647ea3223bb474964f75c2e54330dd8db45cd5361dfeea9a6efb5bff",
     },
     "nonzero-target": {
-        "residual": "ea009dc7b23638760c08dd786fc54ccbad3d6e5ebc72956c0992b2b274dd4275",
-        "iterate_norm": "ba512fae952aab210cf752dc7784de50ee8e0b76e3352b50364432cf885abe6d",
+        "residual": "149dbd0dc5b5cb03f1be7d16c8ec3b9f56c09d59f76cf76cc7ad2d714ef95158",
+        "iterate_norm": "badb4e70e2d356a3eea1e111e1a90ce7f22029f189d34895437a331a847e2974",
         "phi_to_target": "3646b597d5716281b3b424ff091fee34c799c09c815e83b1cf5089c5c34195e5",
     },
     "vi": {
-        "residual": "9248d7b7b1b626c1b5b0754ba8db86ecb098365e456facfa4a94309d6f7776c1",
-        "iterate_norm": "b0418ac0bcd1c22e53cf914d3253a58bcaf781525677a74b1c69b3ce1165a019",
+        "residual": "80b884314b9d77d580e65466fc1c241a4c2ead8c19aed551ff1d067566da1399",
+        "iterate_norm": "00e2c21517aedb45921de7b91abe05c0e4c80ae6f2bf5e053ad6e385d7ce2b25",
     },
 }
 

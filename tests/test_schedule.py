@@ -1,5 +1,6 @@
-"""Parameter sequences: ranges, clipping, blocks, and the acceptably-paired
-block statistics with brute-force oracles."""
+"""Parameter sequences: ranges, clipping, blocks, the rules ``steps`` checks on
+each chunk, and the acceptably-paired block statistics with brute-force
+oracles."""
 
 import dataclasses
 import math
@@ -13,7 +14,16 @@ import numpy as np
 import pytest
 
 import lpmono
-from lpmono import ParamSchedule, check_acceptably_paired, default_schedule
+from lpmono import (
+    GridFunction,
+    LpContext,
+    ParamSchedule,
+    SolveConfig,
+    check_acceptably_paired,
+    default_schedule,
+    mult_op,
+    solve_zero,
+)
 
 
 def degenerate_schedule():
@@ -91,6 +101,17 @@ class TestDefaultSchedule:
         assert [n for n, _, _ in counted.steps(4097)] == list(range(1, 4098))
         assert sizes == [4096, 1]
 
+    def test_steps_check_theta_across_chunks(self):
+        # theta rises at n = 4097, the second chunk's first step: the first chunk runs
+        s = default_schedule(1.0)
+        bumped = dataclasses.replace(s, theta=lambda n: s.theta(n) + (n > 4096) * 1e-3)
+        assert len(list(bumped.steps(4096))) == 4096
+        steps = bumped.steps(4097)
+        for _ in range(4096):
+            next(steps)
+        with pytest.raises(ValueError, match=r"theta_n <= theta_\{n-1\} at n = 4097$"):
+            next(steps)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             default_schedule(0.0)
@@ -127,6 +148,48 @@ class TestDefaultSchedule:
         assert s.meta["n0"] == 20
         assert s.meta["gamma"] == 0.5
         assert s.meta["block"] == "i^i"
+
+
+def constant(c):
+    return lambda n: np.full(np.shape(n), c)
+
+
+def inv_n_plus_1(n):
+    return 1.0 / (np.asarray(n, dtype=float) + 1.0)
+
+
+# schedules that break one of ParamSchedule's rules, each from its first step
+BROKEN = {
+    "alpha-2": (dict(alpha=constant(2.0)), "0 < alpha_n < 1 at n = 1$"),
+    "alpha-above-gamma-theta": (
+        dict(alpha=constant(0.9), theta=inv_n_plus_1), r"alpha_n <= gamma \* theta_n at n = 1$"),
+    "alpha-negative": (dict(alpha=constant(-0.1)), "0 < alpha_n < 1 at n = 1$"),
+    "alpha-nan": (dict(alpha=constant(float("nan"))), "0 < alpha_n < 1 at n = 1$"),
+    "alpha-scalar-only": (
+        dict(alpha=lambda n: 0.1),
+        r"alpha returned float of shape \(\) for n = 1..4096, not a float64 array of shape \(4096,\)"),
+    "theta-increasing": (dict(theta=lambda n: 0.5 + 1e-3 * (n >= 10)), r"theta_\{n-1\} at n = 10$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_solve_refuses_broken_schedule_before_step_1(name):
+    fields, message = BROKEN[name]
+    schedule = dataclasses.replace(default_schedule(1.0), **fields)
+    ctx = LpContext(1.5, 100)
+    x1 = GridFunction.from_callable(lambda t: 1.0 / (1.0 + t * t), ctx.M)
+    steps = []
+    with pytest.raises(ValueError, match=message):
+        solve_zero(mult_op(), x1, SolveConfig(ctx, schedule), callback=lambda n, x: steps.append(n))
+    assert steps == []
+
+
+def test_degenerate_schedule_builds_and_fails_in_steps():
+    # alpha_1 = theta_1 = 1: check_acceptably_paired still reads it, a solve may not run it
+    s = degenerate_schedule()
+    assert check_acceptably_paired(s, 3).s1
+    with pytest.raises(ValueError, match="0 < alpha_n < 1 at n = 1$"):
+        next(s.steps(10))
 
 
 def brute_block_stats(schedule, i):

@@ -574,16 +574,32 @@ class TestNonzeroZero:
     pinned distance shows any bias that the carried dual vector brings into
     that pull."""
 
-    @pytest.mark.parametrize("p, nfe, gap", [(1.5, 8155, 0.2472124), (2.0, 9444, 0.2803378)])
-    def test_stops_on_the_path_short_of_g(self, p, nfe, gap):
+    @staticmethod
+    def solve(p):
         ctx = LpContext(p=p, M=100)
         t = nodes(ctx.M)
         g = GridFunction(np.cos(np.pi * t) + 0.5)
         A = MonotoneOp(kernel=lambda v, out: np.multiply(1.0 + t, np.subtract(v, g.values, out), out),
                        name="shifted-mult")
-        x, trace = solve_zero(A, GridFunction.from_callable(INV_QUAD, ctx.M), config(ctx))
+        cfg = config(ctx)
+        return (*solve_zero(A, GridFunction.from_callable(INV_QUAD, ctx.M), cfg), g, t, cfg)
+
+    @pytest.mark.parametrize("p, nfe, gap", [(1.5, 8155, 0.2472124), (2.0, 9444, 0.2803378)])
+    def test_stops_on_the_path_short_of_g(self, p, nfe, gap):
+        x, trace, g, _, _ = self.solve(p)
         assert trace.converged and trace.nfe == nfe
         assert lp_norm(x - g, p) / lp_norm(g, p) == pytest.approx(gap, rel=1e-6)
+
+    def test_p2_stops_at_the_regularized_point(self):
+        # at p = 2, J is the identity and theta x + A x = 0 has the closed-form point
+        # x_theta = (1 + t) g / (1 + t + theta); at theta_9444 = 0.451614 the iterate is within
+        # 0.0067 ||g|| of it, and x_theta is 0.274 ||g|| from g
+        x, trace, g, t, cfg = self.solve(2.0)
+        theta = cfg.schedule.theta(trace.nfe)
+        assert theta == pytest.approx(0.451614, rel=1e-6)
+        x_theta = GridFunction((1.0 + t) * g.values / (1.0 + t + theta))
+        assert lp_norm(x - x_theta, 2.0) / lp_norm(g, 2.0) == pytest.approx(0.0067043, rel=1e-4)
+        assert lp_norm(x_theta - g, 2.0) / lp_norm(g, 2.0) == pytest.approx(0.2736484, rel=1e-6)
 
 
 class TestRegularizationPathResidual:
