@@ -3,7 +3,7 @@
 Implements the normalized duality map J : L_p -> L_q and its inverse, the
 Lyapunov functional phi, the V functional, the product-space duality map
 for X x X*, and the constants (t_p, c_p) appearing in the L_p geometry
-inequalities.
+inequalities.  Every J and J^{-1} in the package is a :func:`weighted_duality` map.
 
 Because norms and pairings carry the trapezoid weights (see
 :mod:`lpmono.grid`), the defining identities
@@ -17,42 +17,51 @@ quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .grid import GridFunction, LpContext, lp_norm, pairing, trapezoid_weights, weighted_sum
+from .grid import (GridFunction, LpContext, _check_grid, lp_norm, pairing, trapezoid_weights,
+                   weighted_sum)
 
 class NoRootError(ValueError):
     """The t_p equation has no root on (0, 1] for the requested exponent."""
 
 
-def duality_into(v: np.ndarray, r: float, w: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> float:
-    """The normalized duality map of the weighted l_r space, into ``out``.
+def weighted_duality(r: float, w: np.ndarray) -> Callable[[np.ndarray, np.ndarray, np.ndarray], float]:
+    """The normalized duality map of the l_r space of weights ``w``, as ``dual(v, out, scratch)``.
 
-    Writes ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) (zero for v = 0) into
-    ``out`` (not v) and returns ||v||_r, both from one power: the norm's
-    |v|^r is |v|^{r-1} |v|.  ``w`` is the grid's weights, and ``scratch``
-    (not v) receives |v| and the norm's terms.  With r = p this is J, with
-    r = q it is J^{-1}; the engine's step repeats this arithmetic bit for
-    bit.  The sign is copied from v in one pass, which equals multiplying
-    by sign v bit for bit except at a -0.0 node, which maps to -0.0.
-    Overflow gives inf or nan values.
+    ``dual`` writes ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) (zero for v = 0)
+    into ``out`` (not v) and returns ||v||_r, both from one power: the
+    norm's |v|^r is |v|^{r-1} |v|.  ``scratch`` (not v) receives |v| and the
+    norm's terms.  With r = p this is J, with r = q it is J^{-1}.  The sign
+    is copied from v in one pass, which equals multiplying by sign v bit for
+    bit except at a -0.0 node, which maps to -0.0.  Overflow gives inf or
+    nan values.  Exponent and norm factor are 0-d arrays, as in
+    :func:`~lpmono.grid.weighted_norm`.
     """
-    np.power(np.abs(v, scratch), r - 1.0, out)
-    norm = weighted_sum(np.multiply(out, scratch, scratch), w, scratch) ** (1.0 / r)
-    if norm == 0.0:
-        out.fill(0.0)
-    else:  # norm^(2-r) * |v|^(r-1), grouped as the formula reads, then v's sign
-        np.multiply(out, norm ** (2.0 - r), out)
-        np.copysign(out, v, out)
-    return norm
+    r1, inv_r, r2, factor = np.array(r - 1.0), 1.0 / r, 2.0 - r, np.empty(())
+    absolute, add_reduce, copysign = np.abs, np.add.reduce, np.copysign
+    multiply, power = np.multiply, np.power
+
+    def dual(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> float:
+        power(absolute(v, scratch), r1, out)
+        norm = float(add_reduce(multiply(w, multiply(out, scratch, scratch), scratch))) ** inv_r
+        if norm == 0.0:
+            out.fill(0.0)
+        else:  # norm^(2-r) * |v|^(r-1), grouped as the formula reads, then v's sign
+            factor[()] = norm**r2
+            copysign(multiply(out, factor, out), v, out)
+        return norm
+
+    return dual
 
 
 def duality_values(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
     """The r-duality map of nodal values ``v`` as a new array, and ||v||_r (overflow gives inf or nan)."""
     out = np.empty_like(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = duality_into(v, r, trapezoid_weights(v.size - 1), out, np.empty_like(v))
+        norm = weighted_duality(r, trapezoid_weights(v.size - 1))(v, out, np.empty_like(v))
     return out, norm
 
 
@@ -82,7 +91,7 @@ def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
     distance from below, (p - 1) ||x - y||^2 <= phi(x, y), with equality
     at p = 2; for p < 2 no bound phi(x, y) <= C ||x - y||^2 holds.
     """
-    x._check_grid(y)
+    _check_grid(x.M, y.values.size)
     nx = lp_norm(x, ctx.p)
     jy, ny = duality_values(y.values, ctx.p)
     return nx * nx - 2.0 * weighted_sum(x.values * jy, trapezoid_weights(y.M)) + ny * ny
@@ -143,7 +152,7 @@ class ProductPoint:
     v: GridFunction
 
     def __post_init__(self) -> None:
-        self.u._check_grid(self.v)
+        _check_grid(self.u.M, self.v.values.size)
 
     def __sub__(self, other: "ProductPoint") -> "ProductPoint":
         return ProductPoint(self.u - other.u, self.v - other.v)

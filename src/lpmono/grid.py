@@ -33,6 +33,12 @@ class NonFiniteValuesError(ValueError):
     """A grid function acquired NaN or infinite samples."""
 
 
+def _check_grid(M: int, size: int, owner: str = "grid function", what: str = "a function") -> None:
+    """Refuse ``what``, ``size`` nodal values, where ``owner`` needs the M-subinterval grid."""
+    if size != M + 1:
+        raise GridMismatchError(f"{owner} built for M = {M}, got {what} on a grid of M = {size - 1}")
+
+
 def _grid_size(M) -> int:
     """``M`` as a Python int; anything but an integer >= 2 (3 nodes) is refused by name."""
     M = _number("M", M, int)
@@ -105,21 +111,17 @@ class GridFunction:
     def nodes(self) -> np.ndarray:
         return nodes(self.M)
 
-    def _check_grid(self, other: "GridFunction") -> None:
-        if self.values.size != other.values.size:
-            raise GridMismatchError(f"grid mismatch: M = {self.M} vs M = {other.M}")
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_grid(other)
+        _check_grid(self.M, other.values.size)
         return GridFunction(self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_grid(other)
+        _check_grid(self.M, other.values.size)
         return GridFunction(self.values - other.values)
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
-            self._check_grid(other)
+            _check_grid(self.M, other.values.size)
             return GridFunction(self.values * other.values)
         return GridFunction(self.values * float(other))
 
@@ -171,7 +173,7 @@ class LpContext:
 def weighted_sum(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> float:
     """Sum of the M+1 nodal values ``a`` under the grid's trapezoid weights ``w``.
 
-    Every integral, norm and pairing on the grid reduces through here.
+    Every integral, norm and pairing on the grid sums this way.
     numpy's pairwise sum fixes the summation order; a BLAS dot would sum
     in an order that follows its thread count, so results would change
     bitwise with the number of BLAS threads.  ``out`` receives the terms.
@@ -179,12 +181,20 @@ def weighted_sum(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) ->
     return float(np.add.reduce(np.multiply(w, a, out)))
 
 
-def abs_norm(m: np.ndarray, r: float, w: np.ndarray, out: np.ndarray) -> float:
-    """(weighted sum of m^r)^(1/r), the r-norm of a from m = |a|; overflow reads inf.
+def weighted_norm(r: float, w: np.ndarray) -> Callable[[np.ndarray, np.ndarray], float]:
+    """The r-norm of weights ``w``, as ``norm(m, out)``: (weighted sum of m^r)^(1/r) for m = |a|.
 
-    ``out`` (which may be m) receives the terms.
+    Overflow reads inf.  ``out`` (which may be m) receives the terms.  r is
+    a 0-d array made once: numpy takes one in about half the time it takes
+    to convert a float, and the solver calls ``norm`` every step.
     """
-    return weighted_sum(np.power(m, r, out), w, out) ** (1.0 / r)
+    r_, inv_r = np.array(r), 1.0 / r
+    add_reduce, multiply, power = np.add.reduce, np.multiply, np.power
+
+    def norm(m: np.ndarray, out: np.ndarray) -> float:
+        return float(add_reduce(multiply(w, power(m, r_, out), out))) ** inv_r
+
+    return norm
 
 
 def trapezoid_integral(f: GridFunction) -> float:
@@ -198,12 +208,12 @@ def lp_norm(f: GridFunction, r: float) -> float:
         raise ValueError(f"norm exponent must be >= 1, got {r}")
     m = np.abs(f.values)
     with np.errstate(over="ignore"):  # inf norms feed the non-finite guards
-        return abs_norm(m, r, trapezoid_weights(f.M), m)
+        return weighted_norm(r, trapezoid_weights(f.M))(m, m)
 
 
 def pairing(f: GridFunction, g: GridFunction) -> float:
     """Duality pairing: the trapezoid integral of the product f*g."""
-    f._check_grid(g)
+    _check_grid(f.M, g.values.size)
     return weighted_sum(f.values * g.values, trapezoid_weights(f.M))
 
 

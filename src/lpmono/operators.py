@@ -19,9 +19,10 @@ from typing import Callable
 
 import numpy as np
 
-from .duality import ProductPoint, duality_into
-from .grid import (GridFunction, LpContext, NonFiniteValuesError, _number, _smooth_basis,
-                   _smooth_values, abs_norm, nodes, trapezoid_weights, weighted_sum)
+from .duality import ProductPoint, weighted_duality
+from .grid import (GridFunction, LpContext, NonFiniteValuesError, _check_grid, _number,
+                   _smooth_basis, _smooth_values, nodes, trapezoid_weights, weighted_norm,
+                   weighted_sum)
 
 SUBGRADIENT_VARIANTS = ("literal", "duality")
 _FEAS_TOL = 1e-12  # box violation that vi_normal_cone_selection still accepts
@@ -128,12 +129,6 @@ def _zeros(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_size(v: np.ndarray, M: int) -> None:
-    """Reject nodal values from a grid other than the M-subinterval one a kernel was built for."""
-    if v.size != M + 1:
-        raise ValueError(f"kernel built for M = {M}, got function with M = {v.size - 1}")
-
-
 def mult_op() -> MonotoneOp:
     """The multiplication operator (Af)(t) = (t + 1) f(t)."""
     return MonotoneOp(kernel=lambda v, out: np.multiply(_one_plus_t(v.size), v, out), name="mult")
@@ -160,16 +155,17 @@ def norm_subgradient_op(ctx: LpContext, variant: str = "literal") -> MonotoneOp:
     """
     if variant not in SUBGRADIENT_VARIANTS:
         raise ValueError(f"unknown subgradient variant {variant!r}")
-    M, p, w, s = ctx.M, ctx.p, trapezoid_weights(ctx.M), np.empty(ctx.M + 1)
+    M, w, s = ctx.M, trapezoid_weights(ctx.M), np.empty(ctx.M + 1)
+    norm_p, dual_p = weighted_norm(ctx.p, w), weighted_duality(ctx.p, w)
 
     def literal(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        _check_size(v, M)
-        norm = abs_norm(np.abs(v, out), p, w, out)
+        _check_grid(M, v.size, "kernel")
+        norm = norm_p(np.abs(v, out), out)
         return _zeros(v, out) if norm == 0.0 else np.divide(v, norm, out)
 
     def duality(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        _check_size(v, M)
-        norm = duality_into(v, p, w, out, s)
+        _check_grid(M, v.size, "kernel")
+        norm = dual_p(v, out, s)
         return out if norm == 0.0 else np.divide(out, norm, out)
 
     kernel = literal if variant == "literal" else duality
@@ -204,7 +200,7 @@ def hammerstein_kernel_op(kernel) -> MonotoneOp:
     kw = k * w  # fold quadrature weights into the matrix
 
     def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        _check_size(v, M)
+        _check_grid(M, v.size, "kernel")
         return np.matmul(kw, v, out)
 
     slack = sample_monotonicity(MonotoneOp(kernel=kernel), M, pairs=50, scale=1.0)
@@ -293,11 +289,12 @@ def j_pseudo_from_monotone(A: MonotoneOp, ctx: LpContext) -> MonotoneOp:
     what lets the J-fixed-point solver reuse the zero-finding engine.  T
     works on ctx's grid only.
     """
-    M, p, w, s = ctx.M, ctx.p, trapezoid_weights(ctx.M), np.empty(ctx.M + 1)
+    M, s = ctx.M, np.empty(ctx.M + 1)
+    dual_p = weighted_duality(ctx.p, trapezoid_weights(M))
 
     def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        _check_size(v, M)
-        duality_into(v, p, w, out, s)
+        _check_grid(M, v.size, "kernel")
+        dual_p(v, out, s)
         return np.subtract(out, A(v, s), out)
 
     return MonotoneOp(kernel=kernel, name=f"J-minus-{A.name}")

@@ -36,16 +36,20 @@ class ParamSchedule:
 
     ``alpha`` and ``theta`` map an iteration index n >= 1 (scalar or
     integer array) to values in (0,1); ``theta`` must be non-increasing
-    with limit 0, and alpha_n <= gamma * theta_n must hold.  ``block``
-    maps i >= 1 to the strictly increasing block index n(i).  :meth:`steps`
+    with limit 0, and alpha_n <= gamma * theta_n must hold.  :meth:`steps`
     checks these rules (all but the limit) on every chunk it evaluates.
     """
 
     alpha: Callable
     theta: Callable
     gamma: float
-    block: Callable[[int], int]
     meta: dict = field(default_factory=dict)
+
+    def block(self, i: int) -> int:
+        """The block index n(i) = i^i for i >= 1."""
+        if i < 1:
+            raise ValueError(f"block index must be >= 1, got {i}")
+        return i**i
 
     def steps(self, count: int):
         """(n, alpha_n, theta_n) for n = 1..count, read from array chunks of alpha and theta.
@@ -96,9 +100,8 @@ def default_schedule(
     argument is shifted by ``theta_offset`` (default 16, the smallest
     integer with ln ln of it above 1) to keep theta in (0, 1) and
     decreasing from n = 1.  ``alpha`` is clipped to gamma * theta_n so the
-    pairing hypothesis holds mechanically for any gamma.  Blocks are
-    n(i) = i^i.  Offset and base are recorded in ``meta`` and may be
-    varied for sensitivity studies.
+    pairing hypothesis holds mechanically for any gamma.  Offset and base
+    are recorded in ``meta`` and may be varied for sensitivity studies.
     """
     gamma = _number("gamma", gamma, float)
     theta_offset = _number("theta_offset", theta_offset, int)
@@ -128,11 +131,6 @@ def default_schedule(
         vals = np.minimum(base, gamma * theta(n))
         return float(vals) if vals.ndim == 0 else vals
 
-    def block(i: int) -> int:
-        if i < 1:
-            raise ValueError(f"block index must be >= 1, got {i}")
-        return i**i
-
     meta = {
         "alpha": "min(1/(n+1), gamma*theta(n))",
         "theta": "1/log_b(log_b(n + n0))",
@@ -141,7 +139,7 @@ def default_schedule(
         "gamma": gamma,
         "block": "i^i",
     }
-    return ParamSchedule(alpha=alpha, theta=theta, gamma=gamma, block=block, meta=meta)
+    return ParamSchedule(alpha=alpha, theta=theta, gamma=gamma, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -191,9 +189,7 @@ def check_acceptably_paired(schedule: ParamSchedule, i_max: int) -> PairingRepor
         )
     i_values, s1, s2, s3 = [], [], [], []
     for i in range(2, i_max + 1):
-        a, b = int(schedule.block(i)), int(schedule.block(i + 1))
-        if b <= a:
-            raise ValueError(f"block sequence is not strictly increasing at i = {i}")
+        a, b = schedule.block(i), schedule.block(i + 1)
         sum_sq, sum_a = _block_alpha_sums(schedule, a, b)
         th_a, th_b = float(schedule.theta(a)), float(schedule.theta(b))
         i_values.append(i)

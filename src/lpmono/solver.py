@@ -40,20 +40,21 @@ import numpy as np
 # here; perfbench/tracer.py patches them by name on this module
 from .duality import (
     ProductPoint,
-    duality_into,
     duality_map,
     duality_map_inverse,
     lyapunov_phi,
     product_duality,
+    weighted_duality,
 )
 from .grid import (
     GridFunction,
-    GridMismatchError,
     LpContext,
     NonFiniteValuesError,
+    _check_grid,
     _number,
     lp_norm,
     trapezoid_weights,
+    weighted_norm,
     weighted_sum,
 )
 from .operators import (
@@ -203,12 +204,6 @@ def _array_ops(M: int, *ops) -> list:
     return calls
 
 
-def _check_grid(points, M: int, what: str) -> None:
-    for f in points:
-        if f.M != M:
-            raise GridMismatchError(f"{what} has M = {f.M}, the context grid has M = {M}")
-
-
 @np.errstate(over="ignore", invalid="ignore")  # once per solve; the norm check reports overflow
 def _iterate(
     op: Callable,
@@ -227,30 +222,31 @@ def _iterate(
     component.  The run stops once every component residual is below tol.
     Each step appends its trace values to one buffer per column, which
     becomes the trace's column at the end.  Returns copies of the final
-    components followed by the trace.  J^{-1} takes ``duality_into``'s
-    arithmetic bit for bit: one power |y|^{r-1} gives the map and, times
-    |y|, the norm's |y|^r.  The residual takes ``abs_norm``'s.  J x_{n+1} is
-    the dual vector y_{n+1} itself and ||x_{n+1}|| is J^{-1}'s ||y_{n+1}||,
-    both exact in exact arithmetic, so J is evaluated once per solve.
+    components followed by the trace.  J and J^{-1} are the maps of
+    :func:`~lpmono.duality.weighted_duality`, the residual the norm of
+    :func:`~lpmono.grid.weighted_norm`.  J x_{n+1} is the dual vector
+    y_{n+1} itself and ||x_{n+1}|| is J^{-1}'s ||y_{n+1}||, both exact in
+    exact arithmetic, so J is evaluated once per solve.
     """
     ctx = cfg.ctx
-    _check_grid(x1, ctx.M, "initial point")
+    for f in x1:
+        _check_grid(ctx.M, f.values.size, "context", "initial point")
     exps = (ctx.p, ctx.q)[: len(x1)]
     target = cfg.target
     if target is not None:
         t = (target.u, target.v) if isinstance(target, ProductPoint) else (target,)
         if len(t) != len(x1):
             raise TypeError(f"a {len(x1)}-component solve received a {len(t)}-component target")
-        _check_grid(t, ctx.M, "target")
+        for f in t:
+            _check_grid(ctx.M, f.values.size, "context", "target")
         nt = _norm([lp_norm(f, r) for f, r in zip(t, exps)])
         # a zero component pairs with the finite J x_{n+1} to exactly +/-0: skip it
         t = [(i, f.values) for i, f in enumerate(t) if f.values.any()]
     w = trapezoid_weights(ctx.M)
     # per component: x_n and x_{n+1}, swapped each step, with read-only views for the operator;
-    # J x_n, A x_n and scratch. The step writes y_{n+1} over A x_n; J^{-1} puts |y_{n+1}| in
-    # scratch and |y_{n+1}|^(r-1) in x_{n+1}'s buffer, which it scales into x_{n+1}; the norm's
-    # terms overwrite the scratch. y_{n+1} is then J x_{n+1}, so the J x
-    # and A x buffers swap roles, and the next operator writes over J x_n
+    # J x_n, A x_n and scratch. The step writes y_{n+1} over A x_n and J^{-1} maps it into
+    # x_{n+1}'s buffer. y_{n+1} is then J x_{n+1}, so the J x and A x buffers swap roles,
+    # and the next operator writes over J x_n
     x = [f.values.copy() for f in x1]
     xn, jx, ax, sc = ([np.empty_like(v) for v in x] for _ in range(4))
     xv, xnv = ([np.lib.stride_tricks.as_strided(v, writeable=False) for v in b] for b in (x, xn))
@@ -259,18 +255,14 @@ def _iterate(
     names += ("phi_to_target",) * (target is not None) + ("elapsed",)
     cols = {k: array("d") for k in names}  # one buffer per trace column
     for v, r, jv, s in zip(x, exps, jx, sc):
-        duality_into(v, r, w, jv, s)
-    # per component: index, scratch, residual column, the norm exponent r and 1/r, and J^{-1}'s
-    # 1/rd, rd - 1 and 2 - rd; a 0-d exponent saves the conversion numpy makes of a float
-    comps = [(i, sc[i], cols[k].append, np.array(r), 1.0 / r,
-              1.0 / rd, np.array(rd - 1.0), 2.0 - rd)
+        weighted_duality(r, w)(v, jv, s)
+    # per component: index, scratch, residual column, the residual's norm and J^{-1}
+    comps = [(i, sc[i], cols[k].append, weighted_norm(r, w), weighted_duality(rd, w))
              for i, r, rd, k in zip(range(len(x)), exps, (ctx.q, ctx.p), names)]
     push_norm, push_time = cols["iterate_norm"].append, cols["elapsed"].append
     # the step's scalars, written per step into 0-d arrays made once: numpy takes a 0-d array
-    # in about half the time it takes to convert a float. f holds J^{-1}'s norm factor
-    alpha, alpha_theta, one_minus_alpha, f = (np.empty(()) for _ in range(4))
-    absolute, add_reduce, copysign = np.abs, np.add.reduce, np.copysign
-    multiply, power, subtract = np.multiply, np.power, np.subtract
+    # in about half the time it takes to convert a float
+    alpha, alpha_theta, one_minus_alpha = (np.empty(()) for _ in range(3))
     tol, guard, clock, t0 = cfg.tol, cfg.divergence_guard, time.perf_counter, time.perf_counter()
     for n, a, th in cfg.schedule.steps(cfg.max_iter):
         alpha[()], alpha_theta[()], one_minus_alpha[()] = a, a * th, 1.0 - a
@@ -279,20 +271,14 @@ def _iterate(
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
         top = 0.0
-        for i, s, push, r, ir, ird, rd1, rd2 in comps:
-            xi, xni, yi = x[i], xn[i], ax[i]
+        for i, s, push, norm_r, jinv in comps:
+            xni, yi = xn[i], ax[i]
             step(jx[i], y[i], alpha, alpha_theta, one_minus_alpha, yi, s)
-            power(absolute(yi, s), rd1, xni)
-            nd = float(add_reduce(multiply(w, multiply(xni, s, s), s))) ** ird
-            if nd == 0.0:
+            nd = jinv(yi, xni, s)
+            if nd == 0.0:  # x_{n+1} = 0, so J x_{n+1} = 0 also where y_{n+1} underflowed
                 yi.fill(0.0)
-                xni.fill(0.0)
-            else:
-                f[()] = nd**rd2
-                copysign(multiply(xni, f, xni), yi, xni)
             jx[i], ax[i] = yi, jx[i]
-            absolute(subtract(xni, xi, s), s)
-            res = float(add_reduce(multiply(w, power(s, r, s), s))) ** ir
+            res = norm_r(np.abs(np.subtract(xni, x[i], s), s), s)
             push(res)
             ns[i], top = nd, max(top, res)
         norm = _norm(ns)
@@ -307,7 +293,7 @@ def _iterate(
         x, xn, xv, xnv = xn, x, xnv, xv
         push_norm(norm)
         if target is not None:
-            tj = sum(weighted_sum(multiply(ti, jx[i], ax[i]), w, ax[i]) for i, ti in t) if t else 0.0
+            tj = sum(weighted_sum(np.multiply(ti, jx[i], ax[i]), w, ax[i]) for i, ti in t) if t else 0.0
             cols["phi_to_target"].append(nt * nt - 2.0 * tj + norm * norm)
         push_time(clock() - t0)
         if callback is not None:
@@ -469,6 +455,7 @@ def regularization_path_residual(
     shadows as theta decreases; this diagnostic measures how nearly y
     sits on the path at the given theta.  No solve is performed.
     """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    theta = _number("theta", theta, float)
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     return lp_norm(theta * duality_map(y, ctx) + A(y), ctx.q)

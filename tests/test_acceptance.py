@@ -317,7 +317,7 @@ def test_criterion_8_schedule_validation():
         v = 1.0 / np.asarray(n, dtype=float)
         return float(v) if v.ndim == 0 else v
 
-    degenerate = ParamSchedule(alpha=inv_n, theta=inv_n, gamma=1.0, block=lambda i: i**i)
+    degenerate = ParamSchedule(alpha=inv_n, theta=inv_n, gamma=1.0)
     degenerate_report = check_acceptably_paired(degenerate, 6)
     elapsed = time.perf_counter() - t0
     report(

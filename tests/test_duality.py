@@ -23,10 +23,10 @@ from lpmono import (
 )
 from lpmono.duality import (
     NoRootError,
-    duality_into,
     product_norm,
     product_norm_dual,
     product_pairing,
+    weighted_duality,
     xu_constants,
 )
 from lpmono.grid import trapezoid_weights
@@ -67,22 +67,43 @@ class TestDualityMap:
         jf = duality_map(f, ctx)
         assert np.all(jf.values[f.values == 0.0] == 0.0)
 
-    @pytest.mark.parametrize("r", [1.1, 1.5, 2.0, 3.0])
-    def test_one_pass_sign_equals_formula(self, rng, r):
-        # norm^(2-r) |v|^(r-1) sign v, as it read before the sign was copied in one pass
+    @staticmethod
+    def signed_sample(rng) -> np.ndarray:
+        """101 nodes over six decades, with 20 nodes at 0.0 and 20 at -0.0."""
         v = rng.standard_normal(101) * 10.0 ** rng.uniform(-3.0, 3.0, 101)
         v[rng.choice(101, 20, replace=False)] = 0.0
         v[rng.choice(101, 20, replace=False)] = -0.0
-        norm = lp_norm(GridFunction(v), r)
+        return v
+
+    @staticmethod
+    def one_power_norm(v: np.ndarray, r: float) -> float:
+        """(sum of w |v|^(r-1) |v|)^(1/r), the norm as the map documents it."""
+        a = np.abs(v)
+        return float(np.add.reduce(trapezoid_weights(100) * (np.power(a, r - 1.0) * a))) ** (1.0 / r)
+
+    def check_formula(self, v: np.ndarray, r: float) -> None:
+        # norm^(2-r) |v|^(r-1) sign v, as it read before the sign was copied in one pass
+        norm = self.one_power_norm(v, r)
         expected = norm ** (2.0 - r) * np.abs(v) ** (r - 1.0) * np.sign(v)
-        w = trapezoid_weights(100)
         out, scratch = np.empty_like(v), np.empty_like(v)
-        assert duality_into(v, r, w, out, scratch) == norm
+        assert weighted_duality(r, trapezoid_weights(100))(v, out, scratch) == norm
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(v))  # -0.0 maps to -0.0
         ctx = LpContext(p=r) if r <= 2.0 else LpContext(p=r / (r - 1.0))
         jmap = duality_map if r <= 2.0 else duality_map_inverse
         assert np.array_equal(jmap(GridFunction(v), ctx).values, expected)
+
+    @pytest.mark.parametrize("r", [1.1, 1.5, 2.0, 3.0])
+    def test_one_pass_sign_equals_formula(self, rng, r):
+        self.check_formula(self.signed_sample(rng), r)
+
+    @pytest.mark.parametrize("seed, r", [(2, 1.5), (5, 3.0)])
+    def test_one_pass_norm_is_not_lp_norm(self, seed, r):
+        # lp_norm raises |v| to r in one pow; on these vectors that differs from |v|^(r-1) |v|
+        # in the last bit (on both numpy power loops), and the map keeps its own norm
+        v = self.signed_sample(np.random.default_rng(seed))
+        assert lp_norm(GridFunction(v), r) != self.one_power_norm(v, r)
+        self.check_formula(v, r)
 
 
 class TestDualityMapInverse:

@@ -16,6 +16,7 @@ import pytest
 import lpmono
 from lpmono import (
     GridFunction,
+    GridMismatchError,
     InfeasiblePointError,
     LpContext,
     MonotoneOp,
@@ -393,5 +394,5 @@ class TestBoundToContextGrid:
     @pytest.mark.parametrize("case", list(GRID_BOUND))
     def test_other_grid_fails_on_apply(self, ctx, case):
         _, op = GRID_BOUND[case](ctx)
-        with pytest.raises(ValueError, match="M = 100"):
+        with pytest.raises(GridMismatchError, match="M = 100"):
             op(GridFunction.full(50, 1.0))

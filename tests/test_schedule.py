@@ -33,7 +33,7 @@ def degenerate_schedule():
         v = 1.0 / np.asarray(n, dtype=float)
         return float(v) if v.ndim == 0 else v
 
-    return ParamSchedule(alpha=rule, theta=rule, gamma=1.0, block=lambda i: i**i)
+    return ParamSchedule(alpha=rule, theta=rule, gamma=1.0)
 
 
 class TestDefaultSchedule:

@@ -628,6 +628,11 @@ class TestRegularizationPathResidual:
         with pytest.raises(ValueError):
             regularization_path_residual(mult_op(), GridFunction.zeros(ctx.M), 0.0, ctx)
 
+    @pytest.mark.parametrize("theta", [True, "0.5", float("nan"), float("inf")])
+    def test_theta_refused_by_name(self, ctx, theta):
+        with pytest.raises(ValueError, match="theta"):
+            regularization_path_residual(mult_op(), GridFunction.zeros(ctx.M), theta, ctx)
+
 
 class TestOperatorContract:
     """An operator reads x_n and returns A x_n as an array of shape (M+1,);
