@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count
 
 import numpy as np
 
 from .solver import IterationTrace
 
 CSV_HEADER = "n,residual_p,residual_q,iterate_norm,phi_to_target,elapsed_s,feasibility_violation"
-_CSV_ROW = ",".join("{}" for _ in CSV_HEADER.split(",")) + "\n"
 
 
 @dataclass
@@ -50,16 +49,16 @@ def export_csv(rec: RunRecord, path) -> None:
     Columns: n, residual_p, residual_q, iterate_norm, phi_to_target,
     elapsed_s, feasibility_violation; residual_q, phi_to_target and
     feasibility_violation stay blank when the run does not define them.
-    Each column is formatted from its float64 array as the rows stream out.
+    Each row is one ``%`` template, with a field for each column present,
+    filled from the float64 columns as the rows stream out.
     """
     names = ("residual", "residual_dual", "iterate_norm", "phi_to_target", "elapsed",
              "feasibility_violation")
     cols = rec.trace.columns
-    fields = [map(format, memoryview(cols[k]), repeat(".17g")) if k in cols else repeat("")
-              for k in names]
+    row = ",".join(["%d", *("%.17g" if k in cols else "" for k in names)]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(map(_CSV_ROW.format, count(2), *fields))
+        fh.writelines(map(row.__mod__, zip(count(2), *(memoryview(cols[k]) for k in names if k in cols))))
         for key, value in rec.summary.items():
             fh.write(f"# {key} = {format(value, '.17g') if isinstance(value, float) else value}\n")
 
@@ -78,8 +77,7 @@ def export_loglog(rec: RunRecord, path) -> int:
             f"no positive residuals to plot ({dropped} rows dropped); not writing {path}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{n} {format(r, '.17g')}\n"
-                      for n, r in zip(count(2), memoryview(res)) if r > 0.0)
+        fh.writelines("%d %.17g\n" % (n, r) for n, r in zip(count(2), memoryview(res)) if r > 0.0)
     return dropped
 
 

@@ -121,7 +121,9 @@ def sample_monotonicity(
 
 @lru_cache(maxsize=1)
 def _one_plus_t(size: int) -> np.ndarray:
-    return 1.0 + nodes(size - 1)
+    t = nodes(size - 1)  # a fresh array: 1 + t is built in it, with no second node array
+    t.flags.writeable = True
+    return np.add(t, 1.0, t)
 
 
 def _zeros(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -185,10 +187,13 @@ def hammerstein_kernel_op(kernel) -> MonotoneOp:
     """Integral operator (Kv)(t_i) = integral of k(t_i, s) v(s) ds.
 
     ``kernel`` is the (M+1) x (M+1) sample matrix k(t_i, s_j); the s
-    integral uses the trapezoid weights.  Construction runs a sampled
-    monotonicity check; on failure a warning is emitted and recorded on
-    the returned operator rather than raising, since some kernels of
-    practical interest are only conditionally monotone.
+    integral uses the trapezoid weights, applied by a BLAS matrix-vector
+    product whose summation order follows the OpenBLAS thread count: an
+    exp(-|t-s|) solve's bits change with it at M = 2000, not at M = 400
+    (ROADMAP item 8).  Construction runs a sampled monotonicity check; on
+    failure a warning is emitted and recorded on the returned operator
+    rather than raising, since some kernels of practical interest are only
+    conditionally monotone.
     """
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:

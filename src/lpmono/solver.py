@@ -46,22 +46,9 @@ from .duality import (
     product_duality,
     weighted_duality,
 )
-from .grid import (
-    GridFunction,
-    LpContext,
-    NonFiniteValuesError,
-    _check_grid,
-    _number,
-    lp_norm,
-    trapezoid_weights,
-    weighted_norm,
-    weighted_sum,
-)
-from .operators import (
-    HammersteinPair,
-    MonotoneOp,
-    _box_selection,
-)
+from .grid import (GridFunction, LpContext, NonFiniteValuesError, _check_grid, _number, lp_norm,
+                   trapezoid_weights, weighted_norm, weighted_sum)
+from .operators import HammersteinPair, MonotoneOp, _box_selection
 from .schedule import ParamSchedule
 
 
@@ -221,12 +208,12 @@ def _iterate(
     the buffers ``out`` or arrays of its own; ``step`` forms one dual-space
     component.  The run stops once every component residual is below tol.
     Each step appends its trace values to one buffer per column, which
-    becomes the trace's column at the end.  Returns copies of the final
-    components followed by the trace.  J and J^{-1} are the maps of
-    :func:`~lpmono.duality.weighted_duality`, the residual the norm of
-    :func:`~lpmono.grid.weighted_norm`.  J x_{n+1} is the dual vector
-    y_{n+1} itself and ||x_{n+1}|| is J^{-1}'s ||y_{n+1}||, both exact in
-    exact arithmetic, so J is evaluated once per solve.
+    becomes the trace's column at the end.  Returns the final component
+    arrays, for callers to copy once these buffers are gone, then the trace.
+    J and J^{-1} are :func:`~lpmono.duality.weighted_duality` maps, the
+    residual a :func:`~lpmono.grid.weighted_norm`.  J x_{n+1} is the dual
+    vector y_{n+1} itself and ||x_{n+1}|| is J^{-1}'s ||y_{n+1}||, both
+    exact in exact arithmetic, so J is evaluated once per solve.
     """
     ctx = cfg.ctx
     for f in x1:
@@ -239,25 +226,25 @@ def _iterate(
             raise TypeError(f"a {len(x1)}-component solve received a {len(t)}-component target")
         for f in t:
             _check_grid(ctx.M, f.values.size, "context", "target")
-        nt = _norm([lp_norm(f, r) for f, r in zip(t, exps)])
-        # a zero component pairs with the finite J x_{n+1} to exactly +/-0: skip it
-        t = [(i, f.values) for i, f in enumerate(t) if f.values.any()]
+        # a zero component pairs to exactly +/-0 and adds norm 0.0 to hypot: skip it
+        t = [(i, f, r) for i, (f, r) in enumerate(zip(t, exps)) if f.values.any()]
+        nt = _norm([lp_norm(f, r) for _, f, r in t] or [0.0])
     w = trapezoid_weights(ctx.M)
-    # per component: x_n and x_{n+1}, swapped each step, with read-only views for the operator;
-    # J x_n, A x_n and scratch. The step writes y_{n+1} over A x_n and J^{-1} maps it into
-    # x_{n+1}'s buffer. y_{n+1} is then J x_{n+1}, so the J x and A x buffers swap roles,
-    # and the next operator writes over J x_n
+    # four arrays per component: x_n and x_{n+1}, swapped, with read-only views; J x_n; A x_n.
+    # The step writes y_{n+1} over A x_n with scratch x_{n-1}, J^{-1} maps it into that buffer
+    # as x_{n+1}, and y_{n+1} is J x_{n+1}: the J x and A x buffers swap, and the spent J x_n
+    # is scratch for J^{-1} and the residual until the next operator writes over it
     x = [f.values.copy() for f in x1]
-    xn, jx, ax, sc = ([np.empty_like(v) for v in x] for _ in range(4))
+    xn, jx, ax = ([np.empty_like(v) for v in x] for _ in range(3))
     xv, xnv = ([np.lib.stride_tricks.as_strided(v, writeable=False) for v in b] for b in (x, xn))
     ns = [0.0] * len(x)
     names = ("residual", "residual_dual")[: len(x)] + ("iterate_norm",)
     names += ("phi_to_target",) * (target is not None) + ("elapsed",)
     cols = {k: array("d") for k in names}  # one buffer per trace column
-    for v, r, jv, s in zip(x, exps, jx, sc):
+    for v, r, jv, s in zip(x, exps, jx, ax):
         weighted_duality(r, w)(v, jv, s)
-    # per component: index, scratch, residual column, the residual's norm and J^{-1}
-    comps = [(i, sc[i], cols[k].append, weighted_norm(r, w), weighted_duality(rd, w))
+    # per component: index, residual column, the residual's norm and J^{-1}
+    comps = [(i, cols[k].append, weighted_norm(r, w), weighted_duality(rd, w))
              for i, r, rd, k in zip(range(len(x)), exps, (ctx.q, ctx.p), names)]
     push_norm, push_time = cols["iterate_norm"].append, cols["elapsed"].append
     # the step's scalars, written per step into 0-d arrays made once: numpy takes a 0-d array
@@ -271,14 +258,14 @@ def _iterate(
         except NonFiniteValuesError as exc:
             raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
         top = 0.0
-        for i, s, push, norm_r, jinv in comps:
-            xni, yi = xn[i], ax[i]
-            step(jx[i], y[i], alpha, alpha_theta, one_minus_alpha, yi, s)
-            nd = jinv(yi, xni, s)
+        for i, push, norm_r, jinv in comps:
+            xni, yi, jxi = xn[i], ax[i], jx[i]
+            step(jxi, y[i], alpha, alpha_theta, one_minus_alpha, yi, xni)
+            nd = jinv(yi, xni, jxi)
             if nd == 0.0:  # x_{n+1} = 0, so J x_{n+1} = 0 also where y_{n+1} underflowed
                 yi.fill(0.0)
-            jx[i], ax[i] = yi, jx[i]
-            res = norm_r(np.abs(np.subtract(xni, x[i], s), s), s)
+            jx[i], ax[i] = yi, jxi
+            res = norm_r(np.abs(np.subtract(xni, x[i], jxi), jxi), jxi)
             push(res)
             ns[i], top = nd, max(top, res)
         norm = _norm(ns)
@@ -293,7 +280,8 @@ def _iterate(
         x, xn, xv, xnv = xn, x, xnv, xv
         push_norm(norm)
         if target is not None:
-            tj = sum(weighted_sum(np.multiply(ti, jx[i], ax[i]), w, ax[i]) for i, ti in t) if t else 0.0
+            tj = sum(weighted_sum(np.multiply(f.values, jx[i], ax[i]), w, ax[i])
+                     for i, f, _ in t) if t else 0.0
             cols["phi_to_target"].append(nt * nt - 2.0 * tj + norm * norm)
         push_time(clock() - t0)
         if callback is not None:
@@ -304,7 +292,7 @@ def _iterate(
     # the trace peaks at one buffer above its retained size, not twice it
     del comps, push, push_norm, push_time
     columns = {k: np.array(cols.pop(k)) for k in names}
-    return (*(GridFunction(v) for v in x), IterationTrace(columns, top < tol, cfg.tol))
+    return (*x, IterationTrace(columns, top < tol, cfg.tol))
 
 
 def solve_zero(
@@ -334,7 +322,8 @@ def solve_zero(
         Final iterate and the full per-step trace.
     """
     A = _array_ops(cfg.ctx.M, A)
-    return _iterate(lambda x, out: (A[0](x[0], out[0]),), (x1,), cfg, callback)
+    x, trace = _iterate(lambda x, out: (A[0](x[0], out[0]),), (x1,), cfg, callback)
+    return GridFunction(x), trace
 
 
 def solve_zero_hilbert(
@@ -395,7 +384,8 @@ def solve_vi(
         return (np.add(T[0](x[0], out[0]), beta, out[0]),)
 
     x, trace = _iterate(op, (x1,), cfg, callback)
-    return x, replace(trace, columns={**trace.columns, "feasibility_violation": np.array(feas)})
+    columns = {**trace.columns, "feasibility_violation": np.array(feas)}
+    return GridFunction(x), replace(trace, columns=columns)
 
 
 def solve_jfixed(
@@ -413,7 +403,8 @@ def solve_jfixed(
     (1 - alpha) grouping instead of delegating.
     """
     T = _array_ops(cfg.ctx.M, T)
-    return _iterate(lambda x, out: (T[0](x[0], out[0]),), (x1,), cfg, callback, step=_jfixed_step)
+    x, trace = _iterate(lambda x, out: (T[0](x[0], out[0]),), (x1,), cfg, callback, step=_jfixed_step)
+    return GridFunction(x), trace
 
 
 def solve_hammerstein(
@@ -440,7 +431,8 @@ def solve_hammerstein(
         u, v = x
         return np.subtract(FK[0](u, out[0]), v, out[0]), np.add(FK[1](v, out[1]), u, out[1])
 
-    return _iterate(op, (u1, v1), cfg, callback)
+    u, v, trace = _iterate(op, (u1, v1), cfg, callback)
+    return GridFunction(u), GridFunction(v), trace
 
 
 def regularization_path_residual(

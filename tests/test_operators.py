@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -40,8 +41,9 @@ from lpmono import (
     zero_op,
 )
 from lpmono.duality import duality_values, product_pairing
-from lpmono.grid import trapezoid_integral
-from lpmono.operators import feasibility_violation, identity_op, vi_normal_cone_selection
+from lpmono.grid import nodes, trapezoid_integral
+from lpmono.operators import (_one_plus_t, feasibility_violation, identity_op,
+                              vi_normal_cone_selection)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -87,6 +89,19 @@ class TestMultOp:
         A = mult_op()
         out = A(GridFunction.full(100, 1.0))
         assert np.allclose(out.values, 1.0 + out.nodes, rtol=0, atol=0)
+
+    def test_one_plus_t_is_built_in_one_array(self):
+        M = 10**5
+        _one_plus_t.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            one_plus_t = _one_plus_t(M + 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * one_plus_t.nbytes
+        assert one_plus_t.tobytes() == (1.0 + nodes(M)).tobytes()
 
     def test_sampled_monotonicity(self):
         # integrand (1+t)(f-g)^2 is pointwise nonnegative

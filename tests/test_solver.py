@@ -2,6 +2,7 @@
 cross-solver equivalences), stopping/tracing contracts, and guards."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,7 +41,7 @@ from lpmono import (
 )
 from lpmono.duality import duality_values
 from lpmono.grid import nodes, pairing
-from lpmono.operators import feasibility_violation, vi_normal_cone_selection
+from lpmono.operators import _one_plus_t, feasibility_violation, vi_normal_cone_selection
 from lpmono.solver import regularization_path_residual
 
 INV_QUAD = lambda t: 1.0 / (1.0 + t * t)
@@ -810,3 +811,36 @@ class TestAllocations:
             solve_hammerstein(pair, u1, v1, cfg)
 
         assert [self.constructions(monkeypatch, solve, k) for k in (10, 100)] == [2, 2]
+
+
+class TestArrayBudget:
+    """At M = 10^5 a solve allocates the weights and four arrays per component
+    beyond its caller's arrays: x_n, x_{n+1}, J x_n and A x_n, which double as
+    scratch.  The returned iterate is copied once those buffers are gone."""
+
+    M = 10**5
+    SMALL = 300_000  # bytes: the schedule's 4096-step chunk and the trace
+
+    def allocated(self, solve) -> float:
+        """The peak ``solve()`` allocates beyond what is alive before it, less SMALL, in node arrays."""
+        _one_plus_t(self.M + 1)  # mult_op's cached 1 + t, built beforehand
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return (peak - self.SMALL) / (8 * (self.M + 1))
+
+    def test_lp(self):
+        ctx = LpContext(1.5, self.M)
+        x1 = GridFunction.from_callable(INV_QUAD, self.M)
+        assert self.allocated(lambda: solve_zero(mult_op(), x1, config(ctx, tol=1e-3))) <= 1 + 4
+
+    def test_product_space(self):
+        ctx = LpContext(1.5, self.M)
+        u1 = GridFunction.from_callable(INV_QUAD, self.M)
+        v1 = GridFunction.from_callable(lambda t: np.exp(-t), self.M)
+        solve = lambda: solve_hammerstein(hammerstein_example(), u1, v1, config(ctx, tol=1e-3))
+        assert self.allocated(solve) <= 1 + 2 * 4
