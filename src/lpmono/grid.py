@@ -66,9 +66,10 @@ def trapezoid_weights(M: int) -> np.ndarray:
 class GridFunction:
     """A real-valued function on [0,1] sampled at the M+1 uniform nodes.
 
-    Values are copied on construction and frozen; every arithmetic
-    operation returns a new instance.  Binary operations require equal
-    grids and raise :class:`GridMismatchError` otherwise.
+    Values are frozen: :meth:`zeros` and :meth:`full` are read-only zero-stride
+    views of one float; everything else is copied on construction, and every
+    arithmetic operation returns a new instance.  Binary operations require
+    equal grids and raise :class:`GridMismatchError` otherwise.
     """
 
     __slots__ = ("values",)
@@ -96,12 +97,22 @@ class GridFunction:
         return cls(vals)
 
     @classmethod
+    def _frozen(cls, v: np.ndarray, size: int | None = None) -> "GridFunction":
+        """Float64 ``v`` checked and frozen in place, or its one value viewed at ``size`` nodes."""
+        if not np.isfinite(v).all():
+            raise NonFiniteValuesError("grid function has NaN or Inf samples")
+        v.flags.writeable = False
+        f = cls.__new__(cls)
+        f.values = v if size is None else np.broadcast_to(v, size)
+        return f
+
+    @classmethod
     def zeros(cls, M: int) -> "GridFunction":
-        return cls(np.zeros(_grid_size(M) + 1))
+        return cls.full(M, 0.0)
 
     @classmethod
     def full(cls, M: int, value: float) -> "GridFunction":
-        return cls(np.full(_grid_size(M) + 1, float(value)))
+        return cls._frozen(np.array(_number("value", value, float)), _grid_size(M) + 1)
 
     @property
     def M(self) -> int:
@@ -123,13 +134,13 @@ class GridFunction:
         if isinstance(other, GridFunction):
             _check_grid(self.M, other.values.size)
             return GridFunction(self.values * other.values)
-        return GridFunction(self.values * float(other))
+        return GridFunction(self.values * _number("scalar", other, float))
 
     def __rmul__(self, scalar) -> "GridFunction":
-        return GridFunction(self.values * float(scalar))
+        return GridFunction(self.values * _number("scalar", scalar, float))
 
     def __truediv__(self, scalar) -> "GridFunction":
-        return GridFunction(self.values / float(scalar))
+        return GridFunction(self.values / _number("scalar", scalar, float))
 
     def __neg__(self) -> "GridFunction":
         return GridFunction(-self.values)

@@ -26,7 +26,7 @@ from .grid import _number
 _BLOCK_I_MAX = 8  # i = 9 would sum 10^10 terms, about 6 minutes
 
 _CHUNK = 1 << 20  # chunk length for prefix sums over large blocks
-_STEP_CHUNK = 4096  # steps of a solve per array evaluation of alpha and theta
+_STEP_CHUNK = 4096  # the most steps of a solve per array evaluation of alpha and theta
 _S2_MIN = 0.1  # the bound S2 must stay above to count as bounded away from 0
 
 
@@ -54,14 +54,16 @@ class ParamSchedule:
     def steps(self, count: int):
         """(n, alpha_n, theta_n) for n = 1..count, read from array chunks of alpha and theta.
 
-        Each chunk is checked when it is evaluated, before its first step: both
-        rules return a float64 array of the chunk's length, with values in
-        (0, 1); alpha_n <= gamma * theta_n; theta_n <= theta_{n-1}, across
-        chunks too.  A broken rule raises a ``ValueError`` naming n.
+        Chunks of 64, 128, ... steps, doubling up to ``_STEP_CHUNK``, hold a run of n < 4096
+        steps to max(64, 3n) evaluations.  Each chunk is checked when it is evaluated, before
+        its first step: both rules return a float64 array of the chunk's length, with values
+        in (0, 1); alpha_n <= gamma * theta_n; theta_n <= theta_{n-1}, across chunks too.
+        A broken rule raises a ``ValueError`` naming n.
         """
         prev = 1.0  # theta_1's bound: the range check already holds it below 1
-        for start in range(1, count + 1, _STEP_CHUNK):
-            stop = min(start + _STEP_CHUNK, count + 1)
+        start, size = 1, 64
+        while start <= count:
+            stop, size = min(start + size, count + 1), min(2 * size, _STEP_CHUNK)
             n = np.arange(start, stop)
             alpha = _chunk("alpha", self.alpha(n), start, stop)
             theta = _chunk("theta", self.theta(n), start, stop)
@@ -69,6 +71,7 @@ class ParamSchedule:
             _first_false("theta_n <= theta_{n-1}", theta <= np.append(prev, theta[:-1]), start)
             prev = theta[-1]
             yield from zip(range(start, stop), memoryview(alpha), memoryview(theta))
+            start = stop
 
 
 def _first_false(rule: str, holds: np.ndarray, start: int) -> None:

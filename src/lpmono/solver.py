@@ -209,7 +209,7 @@ def _iterate(
     component.  The run stops once every component residual is below tol.
     Each step appends its trace values to one buffer per column, which
     becomes the trace's column at the end.  Returns the final component
-    arrays, for callers to copy once these buffers are gone, then the trace.
+    arrays, which callers freeze in place once the other buffers are gone, then the trace.
     J and J^{-1} are :func:`~lpmono.duality.weighted_duality` maps, the
     residual a :func:`~lpmono.grid.weighted_norm`.  J x_{n+1} is the dual
     vector y_{n+1} itself and ||x_{n+1}|| is J^{-1}'s ||y_{n+1}||, both
@@ -323,7 +323,7 @@ def solve_zero(
     """
     A = _array_ops(cfg.ctx.M, A)
     x, trace = _iterate(lambda x, out: (A[0](x[0], out[0]),), (x1,), cfg, callback)
-    return GridFunction(x), trace
+    return GridFunction._frozen(x), trace
 
 
 def solve_zero_hilbert(
@@ -385,7 +385,7 @@ def solve_vi(
 
     x, trace = _iterate(op, (x1,), cfg, callback)
     columns = {**trace.columns, "feasibility_violation": np.array(feas)}
-    return GridFunction(x), replace(trace, columns=columns)
+    return GridFunction._frozen(x), replace(trace, columns=columns)
 
 
 def solve_jfixed(
@@ -404,7 +404,7 @@ def solve_jfixed(
     """
     T = _array_ops(cfg.ctx.M, T)
     x, trace = _iterate(lambda x, out: (T[0](x[0], out[0]),), (x1,), cfg, callback, step=_jfixed_step)
-    return GridFunction(x), trace
+    return GridFunction._frozen(x), trace
 
 
 def solve_hammerstein(
@@ -432,7 +432,7 @@ def solve_hammerstein(
         return np.subtract(FK[0](u, out[0]), v, out[0]), np.add(FK[1](v, out[1]), u, out[1])
 
     u, v, trace = _iterate(op, (u1, v1), cfg, callback)
-    return GridFunction(u), GridFunction(v), trace
+    return GridFunction._frozen(u), GridFunction._frozen(v), trace
 
 
 def regularization_path_residual(

@@ -54,8 +54,8 @@ def test_ladder_is_one_solve(capsys):
     assert code == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 3
     assert tracer.acc["solver.calls"] == 1
-    # 509 steps are one chunk of the schedule: one alpha and one theta call
-    assert tracer.acc["schedule.calls"] == 2
+    # 509 steps are four chunks of the schedule (64, 128, 256, 61): four alpha and four theta calls
+    assert tracer.acc["schedule.calls"] == 8
 
 
 @pytest.mark.parametrize("solver, operator, tol", [

@@ -141,6 +141,36 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    @pytest.mark.parametrize("build, value", [
+        (lambda M: GridFunction.zeros(M), 0.0),
+        (lambda M: GridFunction.full(M, 2.5), 2.5),
+    ], ids=["zeros", "full"])
+    def test_constants_are_zero_stride_views(self, build, value):
+        # one float at any M, where a node array at M = 10^6 is 8 MB; the peak is numpy's
+        # bookkeeping for the finiteness check of that float
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f = build(10**6)
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert held < 1024 and peak < 2048
+        assert f.M == 10**6 and f.values.strides == (0,) and not f.values.flags.writeable
+        assert f.values[0] == f.values[-1] == value
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_full_rejects_non_finite(self, value):
+        with pytest.raises(NonFiniteValuesError):
+            GridFunction.full(4, value)
+
+    def test_in_place_construction_rejects_non_finite(self):
+        # the solvers return their final buffers through it: no copy, the same check
+        with pytest.raises(NonFiniteValuesError):
+            GridFunction._frozen(np.array([0.0, np.nan, 1.0]))
+        v = np.array([0.0, 0.5, 1.0])
+        assert GridFunction._frozen(v).values is v and not v.flags.writeable
+
     def test_arithmetic(self):
         f = GridFunction.full(4, 2.0)
         g = GridFunction.full(4, 3.0)
@@ -253,6 +283,18 @@ class TestNumberRule:
     def test_probe_fails_when_built(self, ctx, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build(ctx)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda f: GridFunction.full(4, "1.5"), "value must be a number, got '1.5'"),
+        (lambda f: GridFunction.full(4, True), "value must be a number, got True"),
+        (lambda f: f * "2", "scalar must be a number, got '2'"),
+        (lambda f: f * True, "scalar must be a number, got True"),
+        (lambda f: "3" * f, "scalar must be a number, got '3'"),
+        (lambda f: f / "2", "scalar must be a number, got '2'"),
+    ], ids=["full-str", "full-bool", "mul-str", "mul-bool", "rmul-str", "div-str"])
+    def test_grid_function_scalars(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(GridFunction.full(4, 2.0))
 
     def test_checked_numbers_are_stored_converted(self):
         # a Fraction p once reached numpy's power as an object array; a Fraction tol was compared

@@ -79,7 +79,7 @@ class TestDefaultSchedule:
     @pytest.mark.parametrize("base", [math.e, 2.0], ids=["e", "2"])
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_chunked_steps_equal_scalar_calls(self, gamma, base):
-        # bit for bit across three array chunks, and sampled out to n = 2e5
+        # bit for bit across eight array chunks, and sampled out to n = 2e5
         s = default_schedule(gamma, theta_log_base=base)
         assert list(s.steps(10_000)) == [(n, s.alpha(n), s.theta(n)) for n in range(1, 10_001)]
         steps = list(s.steps(200_000))
@@ -98,18 +98,21 @@ class TestDefaultSchedule:
         assert len(list(counted.steps(5))) == 5
         assert sizes == [5]
         sizes.clear()
-        assert [n for n, _, _ in counted.steps(4097)] == list(range(1, 4098))
-        assert sizes == [4096, 1]
+        assert len(list(counted.steps(509))) == 509
+        assert sizes == [64, 128, 256, 61]
+        sizes.clear()
+        assert [n for n, _, _ in counted.steps(10_000)] == list(range(1, 10_001))
+        assert sizes == [64, 128, 256, 512, 1024, 2048, 4096, 1872]
 
     def test_steps_check_theta_across_chunks(self):
-        # theta rises at n = 4097, the second chunk's first step: the first chunk runs
+        # theta rises at n = 4033, the 4096-step chunk's first step: the chunks before it run
         s = default_schedule(1.0)
-        bumped = dataclasses.replace(s, theta=lambda n: s.theta(n) + (n > 4096) * 1e-3)
-        assert len(list(bumped.steps(4096))) == 4096
-        steps = bumped.steps(4097)
-        for _ in range(4096):
+        bumped = dataclasses.replace(s, theta=lambda n: s.theta(n) + (n > 4032) * 1e-3)
+        assert len(list(bumped.steps(4032))) == 4032
+        steps = bumped.steps(4033)
+        for _ in range(4032):
             next(steps)
-        with pytest.raises(ValueError, match=r"theta_n <= theta_\{n-1\} at n = 4097$"):
+        with pytest.raises(ValueError, match=r"theta_n <= theta_\{n-1\} at n = 4033$"):
             next(steps)
 
     def test_validation(self):
@@ -167,7 +170,7 @@ BROKEN = {
     "alpha-nan": (dict(alpha=constant(float("nan"))), "0 < alpha_n < 1 at n = 1$"),
     "alpha-scalar-only": (
         dict(alpha=lambda n: 0.1),
-        r"alpha returned float of shape \(\) for n = 1..4096, not a float64 array of shape \(4096,\)"),
+        r"alpha returned float of shape \(\) for n = 1..64, not a float64 array of shape \(64,\)"),
     "theta-increasing": (dict(theta=lambda n: 0.5 + 1e-3 * (n >= 10)), r"theta_\{n-1\} at n = 10$"),
 }
 

@@ -39,6 +39,7 @@ from lpmono import (
     solve_zero_hilbert,
     zero_op,
 )
+from lpmono.cli import example_config, execute
 from lpmono.duality import duality_values
 from lpmono.grid import nodes, pairing
 from lpmono.operators import _one_plus_t, feasibility_violation, vi_normal_cone_selection
@@ -773,20 +774,25 @@ class TestHeldIterates:
 
 
 class TestAllocations:
-    """A step wraps no iterate: GridFunction constructions do not grow with
-    the step count, only the returned components are built."""
+    """A step wraps no iterate: GridFunction constructions, copying or in place,
+    do not grow with the step count, only the returned components are built."""
 
     @staticmethod
     def constructions(monkeypatch, solve, max_iter: int) -> int:
         count = []
-        init = GridFunction.__init__
+        init, frozen = GridFunction.__init__, GridFunction._frozen.__func__
 
         def counting(self, values):
             count.append(None)
             init(self, values)
 
+        def counting_frozen(cls, *args):
+            count.append(None)
+            return frozen(cls, *args)
+
         with monkeypatch.context() as m:
             m.setattr(GridFunction, "__init__", counting)
+            m.setattr(GridFunction, "_frozen", classmethod(counting_frozen))
             solve(max_iter)
         return len(count)
 
@@ -813,25 +819,29 @@ class TestAllocations:
         assert [self.constructions(monkeypatch, solve, k) for k in (10, 100)] == [2, 2]
 
 
+def peak_bytes(run) -> tuple[int, object]:
+    """The peak ``run()`` allocates beyond what is alive before it, and what it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = run()
+        return tracemalloc.get_traced_memory()[1] - before, got
+    finally:
+        tracemalloc.stop()
+
+
 class TestArrayBudget:
     """At M = 10^5 a solve allocates the weights and four arrays per component
     beyond its caller's arrays: x_n, x_{n+1}, J x_n and A x_n, which double as
-    scratch.  The returned iterate is copied once those buffers are gone."""
+    scratch.  The returned iterate is the final x_n buffer, frozen in place."""
 
     M = 10**5
-    SMALL = 300_000  # bytes: the schedule's 4096-step chunk and the trace
+    SMALL = 50_000  # bytes: the schedule's 64-step chunk, the trace and Python objects
 
     def allocated(self, solve) -> float:
         """The peak ``solve()`` allocates beyond what is alive before it, less SMALL, in node arrays."""
         _one_plus_t(self.M + 1)  # mult_op's cached 1 + t, built beforehand
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            solve()
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        return (peak - self.SMALL) / (8 * (self.M + 1))
+        return (peak_bytes(solve)[0] - self.SMALL) / (8 * (self.M + 1))
 
     def test_lp(self):
         ctx = LpContext(1.5, self.M)
@@ -844,3 +854,41 @@ class TestArrayBudget:
         v1 = GridFunction.from_callable(lambda t: np.exp(-t), self.M)
         solve = lambda: solve_hammerstein(hammerstein_example(), u1, v1, config(ctx, tol=1e-3))
         assert self.allocated(solve) <= 1 + 2 * 4
+
+    def test_cli(self):
+        # execute builds the start besides the weights; its zero target is a zero-stride view and
+        # the returned iterate, which it drops, is not copied
+        run = lambda: execute(example_config(1, grid=self.M, tol=1e-3))
+        assert self.allocated(run) <= 1 + 1 + 4
+
+    def test_short_run_peaks_near_its_trace(self):
+        # 509 steps evaluate schedule chunks of 64, 128, 256 and 61 steps, not one of 4096; the
+        # trace keeps about 38 B/step
+        peak, rec = peak_bytes(lambda: execute(example_config(1, tol=1e-9)))
+        assert rec.trace.nfe == 509
+        assert peak / rec.trace.nfe <= 150
+
+
+class TestReturnedIterate:
+    """A solver returns its final x_n buffer frozen in place: no copy, and no memory
+    shared with the caller's start or target."""
+
+    def test_lp(self, ctx):
+        x1, target = GridFunction.from_callable(INV_QUAD, ctx.M), GridFunction.full(ctx.M, 0.5)
+        x, _ = solve_zero(mult_op(), x1, config(ctx, tol=1e-3, target=target))
+        self.check(x, x1, target)
+
+    def test_product_space(self, ctx):
+        u1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        v1 = GridFunction.from_callable(lambda t: np.exp(-t), ctx.M)
+        zero = GridFunction.zeros(ctx.M)
+        cfg = config(ctx, tol=1e-3, target=ProductPoint(zero, zero))
+        u, v, _ = solve_hammerstein(hammerstein_example(), u1, v1, cfg)
+        self.check(u, u1, v1, zero)
+        self.check(v, u1, v1, zero)
+        assert not np.shares_memory(u.values, v.values)
+
+    @staticmethod
+    def check(x, *given):
+        assert x.values.flags.owndata and not x.values.flags.writeable
+        assert not any(np.shares_memory(x.values, g.values) for g in given)
