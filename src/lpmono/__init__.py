@@ -2,19 +2,12 @@
 
 One-step duality-map iteration for bounded maximal monotone maps
 A : L_p -> L_q (1 < p <= 2), with application solvers for Hammerstein
-integral equations, convex minimization, variational inequalities over
-boxes, and J-fixed points, plus a reproducible experiment harness.
+integral equations, variational inequalities over boxes and J-fixed
+points (convex minimization is solve_zero on a subgradient selection),
+plus a reproducible experiment harness.
 """
 
-from .duality import (
-    ProductPoint,
-    duality_map,
-    duality_map_inverse,
-    lyapunov_phi,
-    product_duality,
-    product_duality_inverse,
-    v_functional,
-)
+from .duality import ProductPoint, duality_map, product_duality
 from .grid import (
     GridFunction,
     GridMismatchError,
@@ -23,7 +16,6 @@ from .grid import (
     lp_norm,
     nodes,
     pairing,
-    random_smooth,
 )
 from .io import RunRecord, export_csv, export_json, export_loglog, summarize
 from .operators import (
@@ -35,11 +27,10 @@ from .operators import (
     j_pseudo_from_monotone,
     mult_op,
     norm_subgradient_op,
-    product_op,
     sample_monotonicity,
     zero_op,
 )
-from .schedule import ParamSchedule, check_acceptably_paired, default_schedule
+from .schedule import ParamSchedule, default_schedule
 from .solver import (
     DivergenceError,
     IterationTrace,
@@ -47,10 +38,8 @@ from .solver import (
     SolveConfig,
     solve_hammerstein,
     solve_jfixed,
-    solve_min,
     solve_vi,
     solve_zero,
-    solve_zero_hilbert,
 )
 
 __version__ = "0.1.0"
@@ -70,10 +59,8 @@ __all__ = [
     "ProductPoint",
     "RunRecord",
     "SolveConfig",
-    "check_acceptably_paired",
     "default_schedule",
     "duality_map",
-    "duality_map_inverse",
     "export_csv",
     "export_json",
     "export_loglog",
@@ -81,23 +68,16 @@ __all__ = [
     "hammerstein_kernel_op",
     "j_pseudo_from_monotone",
     "lp_norm",
-    "lyapunov_phi",
     "mult_op",
     "nodes",
     "norm_subgradient_op",
     "pairing",
     "product_duality",
-    "product_duality_inverse",
-    "product_op",
-    "random_smooth",
     "sample_monotonicity",
     "solve_hammerstein",
     "solve_jfixed",
-    "solve_min",
     "solve_vi",
     "solve_zero",
-    "solve_zero_hilbert",
     "summarize",
-    "v_functional",
     "zero_op",
 ]

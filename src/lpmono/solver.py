@@ -304,7 +304,10 @@ def solve_zero(
     """Approximate a zero of a bounded maximal monotone map A : E -> E*.
 
     Runs x_{n+1} = J^{-1}(J x_n - alpha_n A x_n - alpha_n theta_n J x_n)
-    from x1 until ||x_{n+1} - x_n||_p < cfg.tol or max_iter steps.
+    from x1 until ||x_{n+1} - x_n||_p < cfg.tol or max_iter steps.  A
+    subgradient selection of a convex functional f as A (say
+    :func:`~lpmono.operators.norm_subgradient_op`) approximates a
+    minimizer of f: the paper's convex-minimization application.
 
     Parameters
     ----------
@@ -340,20 +343,6 @@ def solve_zero_hilbert(
     if cfg.ctx.p != 2.0:
         raise ValueError(f"the Hilbert recursion requires p = 2, got p = {cfg.ctx.p}")
     return solve_zero(A, x1, cfg, callback)
-
-
-def solve_min(
-    subgrad: Callable[[GridFunction], GridFunction],
-    x1: GridFunction,
-    cfg: SolveConfig,
-    callback: Callable | None = None,
-) -> tuple[GridFunction, IterationTrace]:
-    """Minimize a convex functional given a subgradient selection.
-
-    Identical engine to :func:`solve_zero` with the operator replaced by
-    the selection x -> some element of the subdifferential at x.
-    """
-    return solve_zero(subgrad, x1, cfg, callback)
 
 
 def solve_vi(

@@ -24,30 +24,25 @@ from lpmono import (
     LpContext,
     ProductPoint,
     SolveConfig,
-    check_acceptably_paired,
     default_schedule,
     duality_map,
-    duality_map_inverse,
     hammerstein_example,
     j_pseudo_from_monotone,
     lp_norm,
-    lyapunov_phi,
     mult_op,
     norm_subgradient_op,
     pairing,
     product_duality,
-    product_duality_inverse,
-    product_op,
-    random_smooth,
     solve_hammerstein,
     solve_jfixed,
-    solve_min,
     solve_zero,
-    solve_zero_hilbert,
-    v_functional,
 )
 from lpmono.cli import example_config, execute
-from lpmono.schedule import ParamSchedule
+from lpmono.duality import duality_map_inverse, lyapunov_phi, product_duality_inverse, v_functional
+from lpmono.grid import random_smooth
+from lpmono.operators import product_op
+from lpmono.schedule import ParamSchedule, check_acceptably_paired
+from lpmono.solver import solve_zero_hilbert
 
 SEED = 20260810
 

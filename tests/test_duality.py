@@ -12,24 +12,23 @@ from lpmono import (
     LpContext,
     ProductPoint,
     duality_map,
-    duality_map_inverse,
     lp_norm,
-    lyapunov_phi,
     pairing,
     product_duality,
-    product_duality_inverse,
-    random_smooth,
-    v_functional,
 )
 from lpmono.duality import (
     NoRootError,
+    duality_map_inverse,
+    lyapunov_phi,
     product_norm,
     product_norm_dual,
+    product_duality_inverse,
     product_pairing,
+    v_functional,
     weighted_duality,
     xu_constants,
 )
-from lpmono.grid import trapezoid_weights
+from lpmono.grid import random_smooth, trapezoid_weights
 
 
 class TestDualityMap:

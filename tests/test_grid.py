@@ -21,13 +21,13 @@ from lpmono import (
     nodes,
     pairing,
     mult_op,
-    random_smooth,
     sample_monotonicity,
     solve_vi,
     solve_zero,
 )
 from lpmono.cli import example_config, execute, resolve_init
-from lpmono.grid import trapezoid_integral, trapezoid_weights
+from lpmono.grid import (_smooth_basis, _smooth_values, random_smooth, trapezoid_integral,
+                         trapezoid_weights)
 
 
 def from_rule(rule, M=100):
@@ -117,6 +117,15 @@ class TestPairing:
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
             pairing(GridFunction.zeros(10), GridFunction.zeros(20))
+
+
+class TestSmoothValues:
+    """The probe functions of sample_monotonicity and random_smooth."""
+
+    def test_zero_coefficients_shift_to_a_constant(self):
+        # the all-zero sum is shifted by 1 before scaling, so a probe is never 0
+        vals = _smooth_values(_smooth_basis(10), [0.0] * 6, 2.5)
+        assert np.all(vals == 2.5)
 
 
 class TestGridFunction:

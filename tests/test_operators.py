@@ -33,16 +33,14 @@ from lpmono import (
     mult_op,
     norm_subgradient_op,
     pairing,
-    product_op,
-    random_smooth,
     sample_monotonicity,
     solve_jfixed,
-    solve_min,
+    solve_zero,
     zero_op,
 )
 from lpmono.duality import duality_values, product_pairing
-from lpmono.grid import nodes, trapezoid_integral
-from lpmono.operators import (_one_plus_t, feasibility_violation, identity_op,
+from lpmono.grid import nodes, random_smooth, trapezoid_integral
+from lpmono.operators import (_one_plus_t, feasibility_violation, identity_op, product_op,
                               vi_normal_cone_selection)
 
 
@@ -322,6 +320,17 @@ class TestNormalConeSelection:
         beta = vi_normal_cone_selection(x, (-1.0, 1.0))
         assert np.all(beta.values == 1.0)
 
+    @pytest.mark.parametrize("gap, rejected", [(1e-10, True), (1e-13, False)])
+    def test_violation_tolerance_is_1e_12(self, gap, rejected):
+        # the upper bound 0 makes the violation the gap itself, exactly
+        x = GridFunction.full(10, gap)
+        assert feasibility_violation(x, (-1.0, 0.0)) == gap
+        if rejected:
+            with pytest.raises(InfeasiblePointError, match=r"by 1\.000e-10 \(> 1\.0e-12\)"):
+                vi_normal_cone_selection(x, (-1.0, 0.0))
+        else:
+            assert np.all(vi_normal_cone_selection(x, (-1.0, 0.0)).values == 1.0)
+
     def test_box_and_magnitude_validation(self):
         x = GridFunction.zeros(10)
         with pytest.raises(ValueError, match="lo < hi"):
@@ -391,8 +400,8 @@ class TestJPseudoFromMonotone:
 
 # operators built from an LpContext of M = 50, run in an M = 100 solve
 GRID_BOUND = {
-    "literal": lambda ctx: (solve_min, norm_subgradient_op(ctx, "literal")),
-    "duality": lambda ctx: (solve_min, norm_subgradient_op(ctx, "duality")),
+    "literal": lambda ctx: (solve_zero, norm_subgradient_op(ctx, "literal")),
+    "duality": lambda ctx: (solve_zero, norm_subgradient_op(ctx, "duality")),
     "J-minus-A": lambda ctx: (solve_jfixed, j_pseudo_from_monotone(mult_op(), ctx)),
 }
 

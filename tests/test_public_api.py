@@ -24,10 +24,8 @@ PUBLIC = (
     "ProductPoint",
     "RunRecord",
     "SolveConfig",
-    "check_acceptably_paired",
     "default_schedule",
     "duality_map",
-    "duality_map_inverse",
     "export_csv",
     "export_json",
     "export_loglog",
@@ -35,24 +33,17 @@ PUBLIC = (
     "hammerstein_kernel_op",
     "j_pseudo_from_monotone",
     "lp_norm",
-    "lyapunov_phi",
     "mult_op",
     "nodes",
     "norm_subgradient_op",
     "pairing",
     "product_duality",
-    "product_duality_inverse",
-    "product_op",
-    "random_smooth",
     "sample_monotonicity",
     "solve_hammerstein",
     "solve_jfixed",
-    "solve_min",
     "solve_vi",
     "solve_zero",
-    "solve_zero_hilbert",
     "summarize",
-    "v_functional",
     "zero_op",
 )
 
@@ -61,15 +52,23 @@ MODULE_ONLY = {
     "XuConstants": "lpmono.duality",
     "xu_constants": "lpmono.duality",
     "NoRootError": "lpmono.duality",
+    "duality_map_inverse": "lpmono.duality",
+    "lyapunov_phi": "lpmono.duality",
+    "product_duality_inverse": "lpmono.duality",
     "product_norm": "lpmono.duality",
     "product_norm_dual": "lpmono.duality",
     "product_pairing": "lpmono.duality",
+    "v_functional": "lpmono.duality",
+    "random_smooth": "lpmono.grid",
     "trapezoid_integral": "lpmono.grid",
     "trapezoid_weights": "lpmono.grid",
     "feasibility_violation": "lpmono.operators",
+    "product_op": "lpmono.operators",
     "vi_normal_cone_selection": "lpmono.operators",
     "PairingReport": "lpmono.schedule",
+    "check_acceptably_paired": "lpmono.schedule",
     "regularization_path_residual": "lpmono.solver",
+    "solve_zero_hilbert": "lpmono.solver",
 }
 
 
@@ -85,6 +84,12 @@ def test_all_has_no_duplicates():
 
 def test_all_is_the_pinned_surface():
     assert tuple(sorted(lpmono.__all__)) == PUBLIC
+
+
+def test_no_minimization_alias():
+    # minimization is solve_zero with a subgradient selection as A, as the CLI's `min` runs it
+    assert not hasattr(lpmono.solver, "solve_min")
+    assert not hasattr(lpmono, "solve_min")
 
 
 def test_every_listed_name_resolves():

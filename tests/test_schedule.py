@@ -19,11 +19,11 @@ from lpmono import (
     LpContext,
     ParamSchedule,
     SolveConfig,
-    check_acceptably_paired,
     default_schedule,
     mult_op,
     solve_zero,
 )
+from lpmono.schedule import check_acceptably_paired
 
 
 def degenerate_schedule():
@@ -225,6 +225,14 @@ class TestCheckAcceptablyPaired:
         assert report.s3_decreasing_to_zero
         assert report.s3[-1] < report.s3[0]
 
+    def test_s2_just_below_the_bound_is_not_bounded_away(self):
+        # the default alpha scaled by 0.05: min S2 is 0.073, below the bound 0.1 but not near 0
+        d = default_schedule(1.0)
+        s = ParamSchedule(alpha=lambda n: 0.05 * d.alpha(n), theta=d.theta, gamma=1.0)
+        report = check_acceptably_paired(s, 4)
+        assert 0.01 <= min(report.s2) < 0.1
+        assert not report.s2_bounded_away
+
     def test_degenerate_pair_fails_second_condition(self):
         report = check_acceptably_paired(degenerate_schedule(), 6)
         assert not report.s2_bounded_away
@@ -255,7 +263,8 @@ class TestCheckAcceptablyPaired:
 
 S1_HEX = """
 import sys
-from lpmono import check_acceptably_paired, default_schedule
+from lpmono import default_schedule
+from lpmono.schedule import check_acceptably_paired
 report = check_acceptably_paired(default_schedule(1.0), 5)
 sys.stdout.write(" ".join(s.hex() for s in report.s1))
 """

@@ -21,7 +21,6 @@ from lpmono import (
     SolveConfig,
     default_schedule,
     duality_map,
-    duality_map_inverse,
     hammerstein_example,
     hammerstein_kernel_op,
     j_pseudo_from_monotone,
@@ -29,21 +28,18 @@ from lpmono import (
     mult_op,
     norm_subgradient_op,
     product_duality,
-    product_duality_inverse,
-    product_op,
     solve_hammerstein,
     solve_jfixed,
-    solve_min,
     solve_vi,
     solve_zero,
-    solve_zero_hilbert,
     zero_op,
 )
 from lpmono.cli import example_config, execute
-from lpmono.duality import duality_values
+from lpmono.duality import duality_map_inverse, duality_values, product_duality_inverse
 from lpmono.grid import nodes, pairing
-from lpmono.operators import _one_plus_t, feasibility_violation, vi_normal_cone_selection
-from lpmono.solver import regularization_path_residual
+from lpmono.operators import (_one_plus_t, feasibility_violation, product_op,
+                              vi_normal_cone_selection)
+from lpmono.solver import regularization_path_residual, solve_zero_hilbert
 
 INV_QUAD = lambda t: 1.0 / (1.0 + t * t)
 
@@ -69,6 +65,20 @@ def overflows_at_call(k):
         return 1e300 * x if len(calls) == k else x
 
     return MonotoneOp(apply, name=f"overflow-at-{k}")
+
+
+def nan_node_at_call(k):
+    """The identity as an array kernel, except that call k writes a NaN into one node."""
+    calls = []
+
+    def kernel(v, out):
+        calls.append(None)
+        np.copyto(out, v)
+        if len(calls) == k:
+            out[5] = math.nan
+        return out
+
+    return MonotoneOp(kernel=kernel, name=f"nan-at-{k}")
 
 
 class TestZeroOperatorDamping:
@@ -355,14 +365,14 @@ class TestVariationalInequality:
 class TestMinimization:
     def test_minimizer_start_stays(self, ctx):
         sub = norm_subgradient_op(ctx, "literal")
-        x, trace = solve_min(sub, GridFunction.zeros(ctx.M), config(ctx))
+        x, trace = solve_zero(sub, GridFunction.zeros(ctx.M), config(ctx))
         assert trace.converged and trace.nfe == 1
         assert np.all(x.values == 0.0)
 
     def test_norms_trend_to_minimizer(self, ctx):
         sub = norm_subgradient_op(ctx, "literal")
         x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
-        x, trace = solve_min(sub, x1, config(ctx, tol=1e-2))
+        x, trace = solve_zero(sub, x1, config(ctx, tol=1e-2))
         assert trace.converged
         assert trace.final.iterate_norm < trace.rows[0].iterate_norm
         assert trace.final.iterate_norm < 0.05
@@ -370,7 +380,7 @@ class TestMinimization:
     def test_duality_variant_also_converges(self, ctx):
         sub = norm_subgradient_op(ctx, "duality")
         x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
-        _, trace = solve_min(sub, x1, config(ctx, tol=1e-2))
+        _, trace = solve_zero(sub, x1, config(ctx, tol=1e-2))
         assert trace.converged
 
 
@@ -423,6 +433,13 @@ class TestGuards:
     def test_operator_overflow_at_third_call(self, ctx):
         A = overflows_at_call(3)
         with pytest.raises(NonFiniteIterateError, match="at step 3$"):
+            solve_zero(A, GridFunction.from_callable(INV_QUAD, ctx.M), config(ctx))
+
+    def test_kernel_nan_node_at_third_call(self, ctx):
+        # a NaN node gives a NaN norm, which no comparison with the guard trips:
+        # only the negated test `not norm <= guard` names step 3
+        A = nan_node_at_call(3)
+        with pytest.raises(NonFiniteIterateError, match="iterate became non-finite at step 3$"):
             solve_zero(A, GridFunction.from_callable(INV_QUAD, ctx.M), config(ctx))
 
     def test_dual_component_overflow_at_third_call(self, ctx):
