@@ -239,9 +239,17 @@ def _gaps(v: np.ndarray, lo, hi, out: np.ndarray) -> tuple[float, float]:
     return float(top(np.subtract(lo, v, out))), float(top(np.subtract(v, hi, out)))
 
 
+def _box(box) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds of ``box = (lo, hi)`` as float arrays, refused unless lo < hi at every node."""
+    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    if not np.all(lo < hi):
+        raise ValueError("box requires lo < hi nodewise")
+    return lo, hi
+
+
 def feasibility_violation(x, box) -> float:
     """Largest nodewise violation of lo <= x <= hi (0 if feasible); x a GridFunction or array."""
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    lo, hi = _box(box)
     v = x.values if isinstance(x, GridFunction) else x
     return max(0.0, *_gaps(v, lo, hi, np.empty_like(v)))
 
@@ -249,9 +257,7 @@ def feasibility_violation(x, box) -> float:
 def _box_selection(box, magnitude: float) -> Callable[[np.ndarray, np.ndarray], float]:
     """Check ``box`` and ``magnitude`` once; ``select(v, out)`` then writes the selection at
     nodal values v into ``out`` (not v) and returns v's box violation, computed once for both."""
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
-    if not np.all(lo < hi):
-        raise ValueError("box requires lo < hi nodewise")
+    lo, hi = _box(box)
     magnitude = _number("magnitude", magnitude, float)
     if not (math.isfinite(magnitude) and magnitude >= 0.0):
         raise ValueError(f"magnitude must be finite and nonnegative, got {magnitude}")

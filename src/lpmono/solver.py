@@ -31,7 +31,10 @@ from __future__ import annotations
 import math
 import time
 from array import array
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
+from operator import eq
 from typing import Callable
 
 import numpy as np
@@ -101,6 +104,40 @@ class TraceRow:
     elapsed: float = 0.0
 
 
+class TraceRows(Sequence):
+    """A read-only sequence of a trace's rows over its columns.
+
+    A row is built when it is read, by index or by iteration (through the
+    columns' memoryviews, as :func:`~lpmono.io.export_csv` reads them), and
+    is not kept, so walking the rows holds one at a time beside the
+    columns.  A slice is a view with the same step numbers; ``==`` compares
+    row by row with any sequence of rows.
+    """
+
+    _FIELDS = tuple(f.name for f in fields(TraceRow))[1:]
+
+    def __init__(self, columns: dict[str, np.ndarray], n: range) -> None:
+        self._cols, self._n = [columns.get(k) for k in self._FIELDS], n
+
+    def __len__(self) -> int:
+        return len(self._n)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TraceRows({k: c[i] for k, c in zip(self._FIELDS, self._cols) if c is not None},
+                             self._n[i])
+        n = self._n[i]  # raises IndexError as a tuple would
+        return TraceRow(n, *(None if c is None else float(c[i]) for c in self._cols))
+
+    def __iter__(self):
+        return map(TraceRow, self._n, *(repeat(None) if c is None else memoryview(c) for c in self._cols))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 @dataclass
 class IterationTrace:
     """Per-step history of a solve, one read-only float64 array per column.
@@ -127,18 +164,16 @@ class IterationTrace:
     def nfe(self) -> int:
         return len(self.columns["residual"])
 
-    def _row(self, i: int) -> TraceRow:
-        return TraceRow(n=i + 2, **{k: float(v[i]) for k, v in self.columns.items()})
-
     @property
-    def rows(self) -> tuple[TraceRow, ...]:
-        return tuple(map(self._row, range(self.nfe)))
+    def rows(self) -> TraceRows:
+        """The steps as :class:`TraceRow` objects, each built from the columns when read."""
+        return TraceRows(self.columns, range(2, 2 + self.nfe))
 
     @property
     def final(self) -> TraceRow:
         if not self.nfe:
             raise ValueError("trace is empty")
-        return self._row(self.nfe - 1)
+        return self.rows[-1]
 
     def prefix(self, tol: float) -> "IterationTrace":
         """The trace of this solve stopped at ``tol`` >= ``self.tol``, a prefix of this one."""
@@ -262,8 +297,11 @@ def _iterate(
             xni, yi, jxi = xn[i], ax[i], jx[i]
             step(jxi, y[i], alpha, alpha_theta, one_minus_alpha, yi, xni)
             nd = jinv(yi, xni, jxi)
-            if nd == 0.0:  # x_{n+1} = 0, so J x_{n+1} = 0 also where y_{n+1} underflowed
-                yi.fill(0.0)
+            if nd == 0.0 and yi.any():  # |y|^(r-1) underflowed at every node: x_{n+1} is not 0
+                raise FloatingPointError(
+                    f"J^-1 of a nonzero y_{n + 1} underflowed to 0 at step {n} (p = {ctx.p:g}); "
+                    f"a smaller gamma (--gamma) shortens the step"
+                )
             jx[i], ax[i] = yi, jxi
             res = norm_r(np.abs(np.subtract(xni, x[i], jxi), jxi), jxi)
             push(res)

@@ -409,6 +409,13 @@ class TestMainEntryPoint:
         meta_b = json.loads(capsys.readouterr().out.strip())
         assert meta_a["nfe"] != meta_b["nfe"]
 
+    @pytest.mark.parametrize("p", ["1.0001", "1.001"])
+    def test_underflowed_step_exits_1(self, capsys, p):
+        # it reported converged: true at NFE 2 with x = 0 and exited 0
+        assert main(["zero", "--operator", "mult", "--p", p, "--tol", "1e-6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"at step 1 (p = {p})" in captured.err and "--gamma" in captured.err
+
 
 def assert_same_record(rung, alone):
     """A ladder rung equals the separate run at its tol, wall-clock time aside."""

@@ -39,7 +39,8 @@ from lpmono import (
     zero_op,
 )
 from lpmono.duality import duality_values, product_pairing
-from lpmono.grid import nodes, random_smooth, trapezoid_integral
+from lpmono.cli import RunConfig, execute
+from lpmono.grid import nodes, random_smooth, trapezoid_integral, trapezoid_weights
 from lpmono.operators import (_one_plus_t, feasibility_violation, identity_op, product_op,
                               vi_normal_cone_selection)
 
@@ -209,6 +210,23 @@ class TestKernelOp:
             K = hammerstein_kernel_op(-np.outer(t, t))
         assert K.monotonicity_warning is not None
 
+    def test_check_samples_more_than_one_pair(self):
+        # k = -g g^T gives <K e, e> = -<g, e>^2: with g orthogonal to the first probe pair's
+        # difference e, the first pair reads 0 and the later ones read negative
+        M, w = 100, trapezoid_weights(100)
+        seen = []
+
+        def record(v, out):
+            seen.append(v.copy())
+            return v
+
+        sample_monotonicity(MonotoneOp(kernel=record), M, pairs=1, scale=1.0)
+        e = seen[0] - seen[1]
+        g = 1.0 - (w @ e) / (w @ (e * e)) * e
+        with pytest.warns(UserWarning, match="monotonicity"):
+            K = hammerstein_kernel_op(-np.outer(g, g))
+        assert sample_monotonicity(K, M, pairs=1, scale=1.0) >= -1e-10
+
     def test_sampled_check_is_deterministic(self):
         t = np.linspace(0.0, 1.0, 101)
         K = hammerstein_kernel_op(np.exp(-np.abs(t[:, None] - t[None, :])))
@@ -333,8 +351,11 @@ class TestNormalConeSelection:
 
     def test_box_and_magnitude_validation(self):
         x = GridFunction.zeros(10)
-        with pytest.raises(ValueError, match="lo < hi"):
-            vi_normal_cone_selection(x, (1.0, -1.0))
+        # one check of the box for the selection, the violation and a vi run, before any step
+        for refuse in (vi_normal_cone_selection, feasibility_violation,
+                       lambda x, box: execute(RunConfig("vi", "mult", box=box))):
+            with pytest.raises(ValueError, match="^box requires lo < hi nodewise$"):
+                refuse(x, (1.0, -1.0))
         with pytest.raises(ValueError, match="magnitude"):
             vi_normal_cone_selection(x, (-1.0, 1.0), magnitude=-1.0)
 

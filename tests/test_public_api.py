@@ -69,6 +69,7 @@ MODULE_ONLY = {
     "check_acceptably_paired": "lpmono.schedule",
     "regularization_path_residual": "lpmono.solver",
     "solve_zero_hilbert": "lpmono.solver",
+    "TraceRows": "lpmono.solver",
 }
 
 

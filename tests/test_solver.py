@@ -34,7 +34,7 @@ from lpmono import (
     solve_zero,
     zero_op,
 )
-from lpmono.cli import example_config, execute
+from lpmono.cli import RunConfig, example_config, execute
 from lpmono.duality import duality_map_inverse, duality_values, product_duality_inverse
 from lpmono.grid import nodes, pairing
 from lpmono.operators import (_one_plus_t, feasibility_violation, product_op,
@@ -543,6 +543,47 @@ class TestTraceContract:
         with pytest.raises(ValueError):
             IterationTrace().final
 
+    def test_rows_are_a_sequence_over_the_columns(self, ctx):
+        x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        _, trace = solve_zero(mult_op(), x1, config(ctx, tol=1e-4, target=GridFunction.zeros(ctx.M)))
+        rows = trace.rows
+        built = [rows[i] for i in range(len(rows))]
+        assert list(rows) == built and rows == tuple(built) and tuple(built) == rows
+        assert rows[-2] == built[-2] and rows[1:-1:3] == built[1:-1:3]
+        assert [r.n for r in rows[::-2]] == [r.n for r in built[::-2]]
+        assert rows[2].residual == trace.columns["residual"][2] and rows[2].n == 4
+        assert rows != built[1:] and rows[:0] == ()
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+
+    def test_walking_rows_holds_one_row_at_a_time(self):
+        # each row is built when read and dropped: the walk holds a few rows of about 272 B,
+        # not one per step
+        from lpmono import IterationTrace
+
+        names = ("residual", "iterate_norm", "phi_to_target", "elapsed")
+        trace = IterationTrace({k: np.linspace(1.0, 2.0, 100_000) for k in names}, tol=1e-6)
+        tracemalloc.start()
+        try:
+            walked = sum(1 for _ in trace.rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walked == 100_000
+        assert peak < 16 * 272
+
+    def test_tol_equal_to_a_residual_does_not_stop_there(self, ctx):
+        # the stop test is strict, as in prefix: a step stops the run only below tol
+        x1 = GridFunction.from_callable(INV_QUAD, ctx.M)
+        _, full = solve_zero(mult_op(), x1, config(ctx, tol=1e-6))
+        res = full.columns["residual"]
+        k = int(np.flatnonzero(res < 1e-3)[0])
+        assert np.all(res[:k] > res[k])
+        _, trace = solve_zero(mult_op(), x1, config(ctx, tol=float(res[k])))
+        assert trace.converged and trace.nfe > k + 1
+        assert trace.columns["residual"][k] == res[k] and trace.final.residual < res[k]
+        assert trace.nfe == full.prefix(float(res[k])).nfe
+
 
 class TestExponentRange:
     """The engine across the supported exponents, and the role of gamma."""
@@ -567,6 +608,21 @@ class TestExponentRange:
         x, trace = solve_zero(mult_op(), x1, cfg)
         assert trace.converged
         assert lp_norm(x, 1.1) <= 0.05
+
+    @pytest.mark.parametrize("p", [1.0001, 1.001])
+    def test_underflowed_inverse_is_refused(self, p):
+        # |y|^(q-1) with q - 1 = 10^4 (or 10^3) is 0 at every node of a nonzero y_2: refused,
+        # not read as x_2 = 0
+        x1 = GridFunction.from_callable(INV_QUAD, 100)
+        cfg = SolveConfig(ctx=LpContext(p=p, M=100), schedule=default_schedule(1.0), tol=1e-6)
+        with pytest.raises(FloatingPointError, match=rf"underflowed to 0 at step 1 \(p = {p}\).*gamma"):
+            solve_zero(mult_op(), x1, cfg)
+
+    # the same NFE on numpy's AVX-512 and libm power loops
+    @pytest.mark.parametrize("p, gamma, nfe", [(1.05, 0.1, 218), (1.01, 0.01, 1559)])
+    def test_smaller_gamma_carries_the_step(self, p, gamma, nfe):
+        rec = execute(RunConfig("zero", "mult", p=p, gamma=gamma, tol=1e-6))
+        assert rec.summary["converged"] and rec.summary["nfe"] == nfe
 
 
 class TestKernelHammerstein:
@@ -680,13 +736,15 @@ class TestOperatorContract:
 class TestEdgeBranches:
     """The first steps of the engine equal the recursion written out with the
     public maps in the dual form, bit for bit, on starts that reach the
-    zero-norm branches."""
+    zero-norm branches; where J^{-1} of a nonzero dual vector underflows to
+    norm 0, both refuse the step."""
 
     @staticmethod
     def transcribe(A, x1, ctx, cfg):
         """Per step: the residuals, ||x_{n+1}||, phi(target, x_{n+1}) (None without a
-        target) and x_{n+1}.  The dual vector y_{n+1} is carried as J x_{n+1}, zeroed
-        where J^{-1}'s norm is 0, and that norm, ||y_{n+1}||, is ||x_{n+1}||."""
+        target) and x_{n+1}, and the step refused (None if none).  The dual vector
+        y_{n+1} is carried as J x_{n+1}, and its norm, ||y_{n+1}||, is ||x_{n+1}||;
+        a nonzero y_{n+1} of norm 0 has underflowed, and its step is refused."""
         exps = (ctx.p, ctx.q)[: len(x1)]
         norm_of = lambda ns: ns[0] if len(ns) == 1 else float(np.hypot(*ns))
         if cfg.target is not None:
@@ -700,7 +758,9 @@ class TestEdgeBranches:
             dual = [(j - ax_i * a) - j * (a * th) for j, ax_i in zip(jx, ax)]
             xn, ns = zip(*(duality_values(v, rd) for v, rd in zip(dual, (ctx.q, ctx.p))))
             res = [lp_norm(GridFunction(u - v), r) for u, v, r in zip(xn, x, exps)]
-            jx = [np.zeros_like(y) if nd == 0.0 else y for y, nd in zip(dual, ns)]
+            if any(nd == 0.0 and y.any() for y, nd in zip(dual, ns)):
+                return steps, n
+            jx = dual
             norm = norm_of(ns)
             phi = None
             if cfg.target is not None:
@@ -710,7 +770,7 @@ class TestEdgeBranches:
             x = xn
             if max(res) < cfg.tol:
                 break
-        return steps
+        return steps, None
 
     @staticmethod
     def start(kind, M):
@@ -721,7 +781,14 @@ class TestEdgeBranches:
             return np.where(np.arange(M + 1) % 2 == 1, -0.0, 1.0 / (1.0 + t * t))
         return np.full(M + 1, 1e-200)  # |x|^3 underflows: the q-norm of the start reads 0
 
-    def check(self, trace, held, expected):
+    def check(self, solve, held, expected):
+        expected, refused = expected
+        if refused is not None:
+            with pytest.raises(FloatingPointError, match=rf"underflowed to 0 at step {refused} \(p = 1.5\)"):
+                solve()
+            assert len(held) == len(expected)
+            return
+        *_, trace = solve()
         assert trace.nfe == len(held) == len(expected)
         cols = [trace.columns[k] for k in ("residual", "residual_dual") if k in trace.columns]
         for i, (res, norm, phi, xn) in enumerate(expected):
@@ -737,9 +804,8 @@ class TestEdgeBranches:
         x1 = GridFunction(self.start(kind, ctx.M))
         cfg = config(ctx, tol=1e-300, max_iter=3, target=GridFunction.from_callable(INV_QUAD, ctx.M))
         held = []
-        _, trace = solve_zero(A, x1, cfg, callback=lambda n, x: held.append((x,)))
         expected = self.transcribe(lambda x: [A(x[0])], (x1,), ctx, cfg)
-        self.check(trace, held, expected)
+        self.check(lambda: solve_zero(A, x1, cfg, callback=lambda n, x: held.append((x,))), held, expected)
 
     @pytest.mark.parametrize("kind", ["zero", "minus-zero", "tiny"])
     def test_product_space(self, ctx, kind):
@@ -749,10 +815,10 @@ class TestEdgeBranches:
         target = ProductPoint(GridFunction.from_callable(INV_QUAD, ctx.M), GridFunction.full(ctx.M, 0.5))
         cfg = config(ctx, tol=1e-300, max_iter=3, target=target)
         held = []
-        *_, trace = solve_hammerstein(HammersteinPair(F, K), u1, v1, cfg,
-                                      callback=lambda n, u, v: held.append((u, v)))
         expected = self.transcribe(lambda x: [F(x[0]) - x[1], K(x[1]) + x[0]], (u1, v1), ctx, cfg)
-        self.check(trace, held, expected)
+        self.check(lambda: solve_hammerstein(HammersteinPair(F, K), u1, v1, cfg,
+                                             callback=lambda n, u, v: held.append((u, v))),
+                   held, expected)
 
 
 class TestHeldIterates:
@@ -763,7 +829,8 @@ class TestHeldIterates:
     def check(solve, args, cfg, A):
         held = []
         *final, trace = solve(*args, cfg, callback=lambda n, *xs: held.append(xs))
-        expected = TestEdgeBranches.transcribe(A, args[1:], cfg.ctx, cfg)
+        expected, refused = TestEdgeBranches.transcribe(A, args[1:], cfg.ctx, cfg)
+        assert refused is None
         assert len(held) == len(expected) == trace.nfe >= 5
         for xs, row, (_, norm, _, xn) in zip(held, trace.rows, expected):
             assert row.iterate_norm == norm
