@@ -14,7 +14,7 @@ from itertools import count
 
 import numpy as np
 
-from .solver import IterationTrace
+from .solver import IterationTrace, TraceRows
 
 CSV_HEADER = "n,residual_p,residual_q,iterate_norm,phi_to_target,elapsed_s,feasibility_violation"
 
@@ -84,8 +84,7 @@ def export_loglog(rec: RunRecord, path) -> int:
 def export_json(rec: RunRecord, path) -> None:
     """Write one JSON document: {schema, config, summary, trace}."""
     cols = rec.trace.columns
-    names = [k for k in ("residual", "iterate_norm", "residual_dual", "phi_to_target",
-                         "feasibility_violation", "elapsed") if k in cols]
+    names = [k for k in TraceRows._FIELDS if k in cols]
     steps = zip(count(2), *(cols[k].tolist() for k in names))
     doc = {
         "schema": 1,

@@ -104,13 +104,8 @@ def sample_monotonicity(
         return v
 
     def slack(x: np.ndarray, y: np.ndarray) -> float:
-        # <Ax, e> - <Ay, e> with e = x - y written over x: one array besides the pair
-        out = np.empty(M + 1)
-        np.copyto(out, A(x, out))  # A may return x itself or an array of its own
-        x.flags.writeable = True
-        e = np.subtract(x, y, x)
-        ax_e = weighted_sum(np.multiply(out, e, out), w, out)
-        s = ax_e - weighted_sum(np.multiply(A(y, out), e, out), w, out)
+        e = x - y
+        s = weighted_sum(A(x) * e, w) - weighted_sum(A(y) * e, w)
         if not math.isfinite(s):
             raise NonFiniteValuesError(f"operator {A.name!r} gave the pairing {s} on smooth probes")
         return s

@@ -33,7 +33,6 @@ import time
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
 from operator import eq
 from typing import Callable
 
@@ -107,11 +106,10 @@ class TraceRow:
 class TraceRows(Sequence):
     """A read-only sequence of a trace's rows over its columns.
 
-    A row is built when it is read, by index or by iteration (through the
-    columns' memoryviews, as :func:`~lpmono.io.export_csv` reads them), and
-    is not kept, so walking the rows holds one at a time beside the
-    columns.  A slice is a view with the same step numbers; ``==`` compares
-    row by row with any sequence of rows.
+    A row is built when it is read, by index or by iteration, and is not
+    kept, so walking the rows holds one at a time beside the columns.  A
+    slice is a view with the same step numbers; ``==`` compares row by row
+    with any sequence of rows.
     """
 
     _FIELDS = tuple(f.name for f in fields(TraceRow))[1:]
@@ -128,9 +126,6 @@ class TraceRows(Sequence):
                              self._n[i])
         n = self._n[i]  # raises IndexError as a tuple would
         return TraceRow(n, *(None if c is None else float(c[i]) for c in self._cols))
-
-    def __iter__(self):
-        return map(TraceRow, self._n, *(repeat(None) if c is None else memoryview(c) for c in self._cols))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -192,16 +187,14 @@ def _norm(ns: list[float]) -> float:
     return ns[0] if len(ns) == 1 else float(np.hypot(*ns))
 
 
-# a step writes its dual-space vector into ``out``, which may be ax (tx); ``s`` is scratch.
-# a, ath and a1 are 0-d arrays holding alpha_n, alpha_n * theta_n and 1 - alpha_n
-def _core_step(jx, ax, a, ath, a1, out, s) -> None:
+# a step writes its dual-space vector but the Tikhonov term into ``out``, which may be ax
+# (tx); ``s`` is scratch and ``a`` a 0-d array holding alpha_n, so 1.0 - a is 1 - alpha_n
+def _core_step(jx, ax, a, out, s) -> None:
     np.subtract(jx, np.multiply(ax, a, out), out)
-    np.subtract(out, np.multiply(jx, ath, s), out)
 
 
-def _jfixed_step(jx, tx, a, ath, a1, out, s) -> None:
-    np.add(np.multiply(jx, a1, s), np.multiply(tx, a, out), out)
-    np.subtract(out, np.multiply(jx, ath, s), out)
+def _jfixed_step(jx, tx, a, out, s) -> None:
+    np.add(np.multiply(jx, 1.0 - a, s), np.multiply(tx, a, out), out)
 
 
 def _array_ops(M: int, *ops) -> list:
@@ -241,7 +234,8 @@ def _iterate(
     it by the (q, p)[i]-duality map.  ``op(x, out)`` returns A x_n from
     read-only views ``x`` of the component arrays, one per component, into
     the buffers ``out`` or arrays of its own; ``step`` forms one dual-space
-    component.  The run stops once every component residual is below tol.
+    component but its Tikhonov term alpha_n theta_n J x_n, which the loop
+    subtracts.  The run stops once every component residual is below tol.
     Each step appends its trace values to one buffer per column, which
     becomes the trace's column at the end.  Returns the final component
     arrays, which callers freeze in place once the other buffers are gone, then the trace.
@@ -284,18 +278,22 @@ def _iterate(
     push_norm, push_time = cols["iterate_norm"].append, cols["elapsed"].append
     # the step's scalars, written per step into 0-d arrays made once: numpy takes a 0-d array
     # in about half the time it takes to convert a float
-    alpha, alpha_theta, one_minus_alpha = (np.empty(()) for _ in range(3))
+    alpha, alpha_theta = np.empty(()), np.empty(())
     tol, guard, clock, t0 = cfg.tol, cfg.divergence_guard, time.perf_counter, time.perf_counter()
+    # below p = 1.2 the default gamma overshoots (README): a failure names p and gamma
+    hint = (f" (p = {ctx.p:g}, gamma = {cfg.schedule.gamma:g}); a smaller gamma (--gamma) "
+            "shortens the step") if ctx.p < 1.2 else ""
     for n, a, th in cfg.schedule.steps(cfg.max_iter):
-        alpha[()], alpha_theta[()], one_minus_alpha[()] = a, a * th, 1.0 - a
+        alpha[()], alpha_theta[()] = a, a * th
         try:
             y = op(xv, ax)
         except NonFiniteValuesError as exc:
-            raise NonFiniteIterateError(f"iterate became non-finite at step {n}") from exc
+            raise NonFiniteIterateError(f"iterate became non-finite at step {n}{hint}") from exc
         top = 0.0
         for i, push, norm_r, jinv in comps:
             xni, yi, jxi = xn[i], ax[i], jx[i]
-            step(jxi, y[i], alpha, alpha_theta, one_minus_alpha, yi, xni)
+            step(jxi, y[i], alpha, yi, xni)
+            np.subtract(yi, np.multiply(jxi, alpha_theta, xni), yi)  # - alpha_n theta_n J x_n
             nd = jinv(yi, xni, jxi)
             if nd == 0.0 and yi.any():  # |y|^(r-1) underflowed at every node: x_{n+1} is not 0
                 raise FloatingPointError(
@@ -310,10 +308,10 @@ def _iterate(
         # a NaN or inf node of y_{n+1} makes J^{-1}'s norm non-finite
         if not norm <= guard:
             if not all(np.isfinite(v).all() for v in xn):
-                raise NonFiniteIterateError(f"iterate became non-finite at step {n}")
+                raise NonFiniteIterateError(f"iterate became non-finite at step {n}{hint}")
             raise DivergenceError(
                 f"||x_{n + 1}|| = {norm:.3e} exceeded the guard {guard:.1e} "
-                f"at step {n}; check the schedule/operator pairing"
+                f"at step {n}; check the schedule/operator pairing{hint}"
             )
         x, xn, xv, xnv = xn, x, xnv, xv
         push_norm(norm)

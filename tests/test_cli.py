@@ -4,11 +4,16 @@ exit codes, and end-to-end determinism."""
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpmono
 from lpmono import export_json
 from lpmono.cli import (
     EXAMPLE_LADDERS,
@@ -247,6 +252,17 @@ class TestMainEntryPoint:
         assert meta["nfe"] >= 1
         assert meta["solver"] == "zero"
 
+    def test_module_runs_as_a_script(self):
+        # python -m lpmono.cli runs main and exits with its code
+        src = str(Path(lpmono.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpmono.cli", "run-example", "1", "--tol", "1e-3"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["nfe"] == 7
+
     def test_parser_built_once(self, capsys):
         assert _build_parser() is _build_parser()
         for _ in range(2):  # the second run parses with the cached parser
@@ -415,6 +431,13 @@ class TestMainEntryPoint:
         assert main(["zero", "--operator", "mult", "--p", p, "--tol", "1e-6"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and f"at step 1 (p = {p})" in captured.err and "--gamma" in captured.err
+
+    @pytest.mark.parametrize("p", ["1.05", "1.01"])
+    def test_failure_below_p_1_2_exits_1(self, capsys, p):
+        # a divergence at p = 1.05, a non-finite iterate at p = 1.01, each naming p and gamma
+        assert main(["zero", "--operator", "mult", "--p", p, "--tol", "1e-6"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"(p = {p}, gamma = 1); a smaller gamma (--gamma)" in captured.err
 
 
 def assert_same_record(rung, alone):

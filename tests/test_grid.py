@@ -145,6 +145,9 @@ class TestGridFunction:
         with pytest.raises(GridMismatchError):
             GridFunction.zeros(10) + GridFunction.zeros(12)
 
+    def test_repr_names_the_grid(self):
+        assert repr(GridFunction.zeros(4)) == "GridFunction(M=4)"
+
     def test_values_frozen(self):
         f = GridFunction.zeros(10)
         with pytest.raises(ValueError):

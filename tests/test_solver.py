@@ -555,6 +555,8 @@ class TestTraceContract:
         assert rows != built[1:] and rows[:0] == ()
         with pytest.raises(IndexError):
             rows[len(rows)]
+        # a non-sequence is left to its own comparison, which reads them unequal
+        assert rows.__eq__(3) is NotImplemented and (rows == 3) is False
 
     def test_walking_rows_holds_one_row_at_a_time(self):
         # each row is built when read and dropped: the walk holds a few rows of about 272 B,
@@ -616,6 +618,18 @@ class TestExponentRange:
         x1 = GridFunction.from_callable(INV_QUAD, 100)
         cfg = SolveConfig(ctx=LpContext(p=p, M=100), schedule=default_schedule(1.0), tol=1e-6)
         with pytest.raises(FloatingPointError, match=rf"underflowed to 0 at step 1 \(p = {p}\).*gamma"):
+            solve_zero(mult_op(), x1, cfg)
+
+    # below p = 1.2 the default gamma's steps overshoot; the failure names p, gamma and --gamma
+    @pytest.mark.parametrize("p, error, text", [
+        (1.05, DivergenceError, r"at step 9; check the schedule/operator pairing"),
+        (1.01, NonFiniteIterateError, r"^iterate became non-finite at step 5"),
+    ])
+    def test_failure_below_p_1_2_names_p_and_gamma(self, p, error, text):
+        x1 = GridFunction.from_callable(INV_QUAD, 100)
+        cfg = SolveConfig(ctx=LpContext(p=p, M=100), schedule=default_schedule(1.0), tol=1e-6)
+        hint = rf" \(p = {p}, gamma = 1\); a smaller gamma \(--gamma\) shortens the step$"
+        with pytest.raises(error, match=text + hint):
             solve_zero(mult_op(), x1, cfg)
 
     # the same NFE on numpy's AVX-512 and libm power loops
