@@ -21,15 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (GridFunction, LpContext, _check_grid, lp_norm, pairing, trapezoid_weights,
-                   weighted_sum)
+from .grid import GridFunction, LpContext, _check_grid, _weigher, lp_norm, pairing, weighted_sum
 
 class NoRootError(ValueError):
     """The t_p equation has no root on (0, 1] for the requested exponent."""
 
 
-def weighted_duality(r: float, w: np.ndarray) -> Callable[[np.ndarray, np.ndarray, np.ndarray], float]:
-    """The normalized duality map of the l_r space of weights ``w``, as ``dual(v, out, scratch)``.
+def weighted_duality(r: float, weigh: Callable) -> Callable[[np.ndarray, np.ndarray, np.ndarray], float]:
+    """The normalized duality map of the l_r space weighted by ``weigh``, as ``dual(v, out, scratch)``.
 
     ``dual`` writes ||v||_r^{2-r} |v(t)|^{r-1} sign v(t) (zero for v = 0)
     into ``out`` (not v) and returns ||v||_r, both from one power: the
@@ -38,7 +37,7 @@ def weighted_duality(r: float, w: np.ndarray) -> Callable[[np.ndarray, np.ndarra
     is copied from v in one pass, which equals multiplying by sign v bit for
     bit except at a -0.0 node, which maps to -0.0.  Overflow gives inf or
     nan values.  Exponent and norm factor are 0-d arrays, as in
-    :func:`~lpmono.grid.weighted_norm`.
+    :func:`~lpmono.grid.weighted_norm`; ``weigh`` is a :func:`~lpmono.grid._weigher`.
     """
     r1, inv_r, r2, factor = np.array(r - 1.0), 1.0 / r, 2.0 - r, np.empty(())
     absolute, add_reduce, copysign = np.abs, np.add.reduce, np.copysign
@@ -46,7 +45,7 @@ def weighted_duality(r: float, w: np.ndarray) -> Callable[[np.ndarray, np.ndarra
 
     def dual(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> float:
         power(absolute(v, scratch), r1, out)
-        norm = float(add_reduce(multiply(w, multiply(out, scratch, scratch), scratch))) ** inv_r
+        norm = float(add_reduce(weigh(multiply(out, scratch, scratch), scratch))) ** inv_r
         if norm == 0.0:
             out.fill(0.0)
         else:  # norm^(2-r) * |v|^(r-1), grouped as the formula reads, then v's sign
@@ -61,7 +60,7 @@ def duality_values(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
     """The r-duality map of nodal values ``v`` as a new array, and ||v||_r (overflow gives inf or nan)."""
     out = np.empty_like(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = weighted_duality(r, trapezoid_weights(v.size - 1))(v, out, np.empty_like(v))
+        norm = weighted_duality(r, _weigher(v.size - 1))(v, out, np.empty_like(v))
     return out, norm
 
 
@@ -94,7 +93,7 @@ def lyapunov_phi(x: GridFunction, y: GridFunction, ctx: LpContext) -> float:
     _check_grid(x.M, y.values.size)
     nx = lp_norm(x, ctx.p)
     jy, ny = duality_values(y.values, ctx.p)
-    return nx * nx - 2.0 * weighted_sum(x.values * jy, trapezoid_weights(y.M)) + ny * ny
+    return nx * nx - 2.0 * weighted_sum(x.values * jy, _weigher(y.M)) + ny * ny
 
 
 def v_functional(x: GridFunction, xstar: GridFunction, ctx: LpContext) -> float:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .duality import ProductPoint, weighted_duality
 from .grid import (GridFunction, LpContext, NonFiniteValuesError, _check_grid, _number,
-                   _smooth_basis, _smooth_values, nodes, trapezoid_weights, weighted_norm,
-                   weighted_sum)
+                   _smooth_basis, _smooth_values, _weigher, nodes, trapezoid_weights,
+                   weighted_norm, weighted_sum)
 
 SUBGRADIENT_VARIANTS = ("literal", "duality")
 _FEAS_TOL = 1e-12  # box violation that vi_normal_cone_selection still accepts
@@ -95,7 +95,7 @@ def sample_monotonicity(
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and > 0, got {scale}")
     A = op if isinstance(op, MonotoneOp) else MonotoneOp(op)
-    draw, basis, w = random.Random(1234).random, _smooth_basis(M), trapezoid_weights(M)
+    draw, basis, weigh = random.Random(1234).random, _smooth_basis(M), _weigher(M)
 
     def probe() -> np.ndarray:
         c = [2.0 * draw() - 1.0 for _ in range(6)]
@@ -105,7 +105,7 @@ def sample_monotonicity(
 
     def slack(x: np.ndarray, y: np.ndarray) -> float:
         e = x - y
-        s = weighted_sum(A(x) * e, w) - weighted_sum(A(y) * e, w)
+        s = weighted_sum(A(x) * e, weigh) - weighted_sum(A(y) * e, weigh)
         if not math.isfinite(s):
             raise NonFiniteValuesError(f"operator {A.name!r} gave the pairing {s} on smooth probes")
         return s
@@ -152,8 +152,8 @@ def norm_subgradient_op(ctx: LpContext, variant: str = "literal") -> MonotoneOp:
     """
     if variant not in SUBGRADIENT_VARIANTS:
         raise ValueError(f"unknown subgradient variant {variant!r}")
-    M, w, s = ctx.M, trapezoid_weights(ctx.M), np.empty(ctx.M + 1)
-    norm_p, dual_p = weighted_norm(ctx.p, w), weighted_duality(ctx.p, w)
+    M, weigh, s = ctx.M, _weigher(ctx.M), np.empty(ctx.M + 1)
+    norm_p, dual_p = weighted_norm(ctx.p, weigh), weighted_duality(ctx.p, weigh)
 
     def literal(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         _check_grid(M, v.size, "kernel")
@@ -196,8 +196,7 @@ def hammerstein_kernel_op(kernel) -> MonotoneOp:
     if not np.all(np.isfinite(k)):
         raise ValueError("kernel has NaN or Inf entries")
     M = k.shape[0] - 1
-    w = trapezoid_weights(M)
-    kw = k * w  # fold quadrature weights into the matrix
+    kw = k * trapezoid_weights(M)  # fold quadrature weights into the matrix, at any M
 
     def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         _check_grid(M, v.size, "kernel")
@@ -296,7 +295,7 @@ def j_pseudo_from_monotone(A: MonotoneOp, ctx: LpContext) -> MonotoneOp:
     works on ctx's grid only.
     """
     M, s = ctx.M, np.empty(ctx.M + 1)
-    dual_p = weighted_duality(ctx.p, trapezoid_weights(M))
+    dual_p = weighted_duality(ctx.p, _weigher(M))
 
     def kernel(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         _check_grid(M, v.size, "kernel")

@@ -48,10 +48,18 @@ from .duality import (
     product_duality,
     weighted_duality,
 )
-from .grid import (GridFunction, LpContext, NonFiniteValuesError, _check_grid, _number, lp_norm,
-                   trapezoid_weights, weighted_norm, weighted_sum)
+from .grid import (GridFunction, LpContext, NonFiniteValuesError, _check_grid, _number, _weigher,
+                   lp_norm, weighted_norm, weighted_sum)
 from .operators import HammersteinPair, MonotoneOp, _box_selection
 from .schedule import ParamSchedule
+
+
+def _finite_positive(name: str, value) -> float:
+    """``value`` as a float, refused by name unless it is a finite number > 0."""
+    value = _number(name, value, float)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 class DivergenceError(RuntimeError):
@@ -81,10 +89,7 @@ class SolveConfig:
 
     def __post_init__(self) -> None:
         for name in ("tol", "divergence_guard"):
-            value = _number(name, getattr(self, name), float)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite_positive(name, getattr(self, name)))
         object.__setattr__(self, "max_iter", _number("max_iter", self.max_iter, int))
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
@@ -171,7 +176,8 @@ class IterationTrace:
         return self.rows[-1]
 
     def prefix(self, tol: float) -> "IterationTrace":
-        """The trace of this solve stopped at ``tol`` >= ``self.tol``, a prefix of this one."""
+        """The trace of this solve stopped at a finite ``tol`` >= ``self.tol``, a prefix of this one."""
+        tol = _finite_positive("tol", tol)
         if tol < self.tol:
             raise ValueError(f"a run to tol {self.tol:g} holds no run to tol {tol:g}")
         res = [self.columns[k] for k in ("residual", "residual_dual") if k in self.columns]
@@ -258,7 +264,7 @@ def _iterate(
         # a zero component pairs to exactly +/-0 and adds norm 0.0 to hypot: skip it
         t = [(i, f, r) for i, (f, r) in enumerate(zip(t, exps)) if f.values.any()]
         nt = _norm([lp_norm(f, r) for _, f, r in t] or [0.0])
-    w = trapezoid_weights(ctx.M)
+    weigh = _weigher(ctx.M)  # no weight array at large M
     # four arrays per component: x_n and x_{n+1}, swapped, with read-only views; J x_n; A x_n.
     # The step writes y_{n+1} over A x_n with scratch x_{n-1}, J^{-1} maps it into that buffer
     # as x_{n+1}, and y_{n+1} is J x_{n+1}: the J x and A x buffers swap, and the spent J x_n
@@ -271,9 +277,9 @@ def _iterate(
     names += ("phi_to_target",) * (target is not None) + ("elapsed",)
     cols = {k: array("d") for k in names}  # one buffer per trace column
     for v, r, jv, s in zip(x, exps, jx, ax):
-        weighted_duality(r, w)(v, jv, s)
+        weighted_duality(r, weigh)(v, jv, s)
     # per component: index, residual column, the residual's norm and J^{-1}
-    comps = [(i, cols[k].append, weighted_norm(r, w), weighted_duality(rd, w))
+    comps = [(i, cols[k].append, weighted_norm(r, weigh), weighted_duality(rd, weigh))
              for i, r, rd, k in zip(range(len(x)), exps, (ctx.q, ctx.p), names)]
     push_norm, push_time = cols["iterate_norm"].append, cols["elapsed"].append
     # the step's scalars, written per step into 0-d arrays made once: numpy takes a 0-d array
@@ -316,7 +322,7 @@ def _iterate(
         x, xn, xv, xnv = xn, x, xnv, xv
         push_norm(norm)
         if target is not None:
-            tj = sum(weighted_sum(np.multiply(f.values, jx[i], ax[i]), w, ax[i])
+            tj = sum(weighted_sum(np.multiply(f.values, jx[i], ax[i]), weigh, ax[i])
                      for i, f, _ in t) if t else 0.0
             cols["phi_to_target"].append(nt * nt - 2.0 * tj + norm * norm)
         push_time(clock() - t0)
@@ -472,7 +478,5 @@ def regularization_path_residual(
     shadows as theta decreases; this diagnostic measures how nearly y
     sits on the path at the given theta.  No solve is performed.
     """
-    theta = _number("theta", theta, float)
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise ValueError(f"theta must be finite and positive, got {theta}")
+    theta = _finite_positive("theta", theta)
     return lp_norm(theta * duality_map(y, ctx) + A(y), ctx.q)

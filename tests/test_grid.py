@@ -4,6 +4,7 @@ import gc
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from lpmono import (
     solve_zero,
 )
 from lpmono.cli import example_config, execute, resolve_init
-from lpmono.grid import (_smooth_basis, _smooth_values, random_smooth, trapezoid_integral,
-                         trapezoid_weights)
+from lpmono.duality import weighted_duality
+from lpmono.grid import (_SCALAR_WEIGHTS_FROM, _smooth_basis, _smooth_values, _weigher,
+                         random_smooth, trapezoid_integral, trapezoid_weights, weighted_norm,
+                         weighted_sum)
 
 
 def from_rule(rule, M=100):
@@ -83,6 +86,75 @@ class TestLpNorm:
     def test_exponent_below_one_rejected(self):
         with pytest.raises(ValueError, match="exponent"):
             lp_norm(GridFunction.full(10, 1.0), 0.5)
+
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan, 0.5])
+    def test_exponent_must_be_finite_and_at_least_one(self, r):
+        # at r = inf the sum of terms read 1.0 for 3 + t (sup norm 4), at r = nan it read nan
+        with pytest.raises(ValueError, match=r"norm exponent r must be finite and >= 1, got"):
+            lp_norm(from_rule(lambda t: 3.0 + t, M=10), r)
+
+    @pytest.mark.parametrize("r", ["2", True, None])
+    def test_exponent_must_be_a_number(self, r):
+        with pytest.raises(ValueError, match=r"^r must be a number, got"):
+            lp_norm(from_rule(lambda t: 3.0 + t, M=10), r)
+
+    def test_exponent_one_and_an_integer_exponent(self):
+        f = from_rule(lambda t: 3.0 + t, M=10)
+        assert lp_norm(f, 1) == lp_norm(f, 1.0) == trapezoid_integral(f)
+        assert lp_norm(f, np.int64(2)) == lp_norm(f, 2.0)
+
+
+class TestWeighting:
+    """Both forms of _weigher give the weight array's terms bit for bit: the array itself
+    below _SCALAR_WEIGHTS_FROM subintervals, a scalar h with recomputed end terms from there."""
+
+    SIZES = (_SCALAR_WEIGHTS_FROM - 1, _SCALAR_WEIGHTS_FROM, _SCALAR_WEIGHTS_FROM + 1, 10**5)
+
+    @staticmethod
+    def sample(M, rng):
+        v = rng.standard_normal(M + 1) * 10.0 ** rng.uniform(-3.0, 3.0, M + 1)
+        v[rng.choice(M + 1, 20, replace=False)] = 0.0
+        return v
+
+    def check(self, v):
+        M = v.size - 1
+        w, weigh = trapezoid_weights(M), _weigher(M)
+        terms = w * v
+        assert np.array_equal(weigh(v, None), terms) and np.array_equal(weigh(v), terms)
+        out = v.copy()
+        assert weigh(out, out) is out and np.array_equal(out, terms)  # in place, ends read first
+        assert weighted_sum(v, weigh) == float(np.add.reduce(terms))
+        for r in (1.1, 1.5, 2.0, 3.0):
+            m = np.abs(v)
+            norm = float(np.add.reduce(w * np.power(m, r))) ** (1.0 / r)
+            assert weighted_norm(r, weigh)(m, np.empty_like(m)) == norm
+            out_w, out = np.empty_like(v), np.empty_like(v)
+            norm_w = weighted_duality(r, partial(np.multiply, w))(v, out_w, np.empty_like(v))
+            assert weighted_duality(r, weigh)(v, out, np.empty_like(v)) == norm_w
+            assert np.array_equal(out, out_w)
+
+    @pytest.mark.parametrize("M", SIZES)
+    def test_forms_agree_bit_for_bit(self, M, rng):
+        self.check(self.sample(M, rng))
+
+    def test_subnormal_end_term(self, rng):
+        # at M = 10^5 both end terms are subnormal; halving h * t_M would round twice
+        v = self.sample(10**5, rng)
+        v[0], v[-1] = 3e-308, 3.1e-308
+        end = trapezoid_weights(10**5)[-1]
+        assert end * v[-1] != 0.5 * (1e-5 * v[-1]) and 0.0 < end * v[0] < 2.0**-1022
+        self.check(v)
+
+    @pytest.mark.parametrize("M", SIZES)
+    @pytest.mark.parametrize("i", [0, 1, -1])
+    def test_non_finite_nodes_stay_non_finite(self, M, i, rng):
+        for bad in (math.inf, -math.inf, math.nan):
+            v = self.sample(M, rng)
+            v[i] = bad
+            terms = _weigher(M)(v)
+            assert np.array_equal(terms, trapezoid_weights(M) * v, equal_nan=True)
+            total = weighted_sum(v, _weigher(M))
+            assert math.isnan(total) if math.isnan(bad) else total == bad
 
 
 class TestPairing:

@@ -537,6 +537,21 @@ class TestTraceContract:
         with pytest.raises(ValueError, match="tol"):
             trace.prefix(1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-3])
+    def test_prefix_refuses_what_the_config_refuses(self, tol):
+        # prefix(nan) returned all 7 rows unconverged, prefix(inf) one row marked converged
+        trace = execute(example_config(1, tol=1e-3)).trace
+        assert trace.nfe == 7
+        for refuse in (trace.prefix, lambda tol: config(LpContext(1.5), tol=tol)):
+            with pytest.raises(ValueError, match=r"^tol must be finite and positive, got"):
+                refuse(tol)
+
+    @pytest.mark.parametrize("tol", ["1e-3", True, None])
+    def test_prefix_tol_must_be_a_number(self, tol):
+        trace = execute(example_config(1, tol=1e-3)).trace
+        with pytest.raises(ValueError, match=r"^tol must be a number, got"):
+            trace.prefix(tol)
+
     def test_empty_trace_final_raises(self, ctx):
         from lpmono import IterationTrace
 
@@ -929,9 +944,10 @@ def peak_bytes(run) -> tuple[int, object]:
 
 
 class TestArrayBudget:
-    """At M = 10^5 a solve allocates the weights and four arrays per component
-    beyond its caller's arrays: x_n, x_{n+1}, J x_n and A x_n, which double as
-    scratch.  The returned iterate is the final x_n buffer, frozen in place."""
+    """At M = 10^5 a solve allocates four arrays per component beyond its caller's
+    arrays: x_n, x_{n+1}, J x_n and A x_n, which double as scratch; it weighs
+    by the scalar 1/M, with no weight array.  The returned iterate is the final
+    x_n buffer, frozen in place."""
 
     M = 10**5
     SMALL = 50_000  # bytes: the schedule's 64-step chunk, the trace and Python objects
@@ -944,20 +960,20 @@ class TestArrayBudget:
     def test_lp(self):
         ctx = LpContext(1.5, self.M)
         x1 = GridFunction.from_callable(INV_QUAD, self.M)
-        assert self.allocated(lambda: solve_zero(mult_op(), x1, config(ctx, tol=1e-3))) <= 1 + 4
+        assert self.allocated(lambda: solve_zero(mult_op(), x1, config(ctx, tol=1e-3))) <= 4
 
     def test_product_space(self):
         ctx = LpContext(1.5, self.M)
         u1 = GridFunction.from_callable(INV_QUAD, self.M)
         v1 = GridFunction.from_callable(lambda t: np.exp(-t), self.M)
         solve = lambda: solve_hammerstein(hammerstein_example(), u1, v1, config(ctx, tol=1e-3))
-        assert self.allocated(solve) <= 1 + 2 * 4
+        assert self.allocated(solve) <= 2 * 4
 
     def test_cli(self):
-        # execute builds the start besides the weights; its zero target is a zero-stride view and
+        # execute builds the start besides the four arrays; its zero target is a zero-stride view and
         # the returned iterate, which it drops, is not copied
         run = lambda: execute(example_config(1, grid=self.M, tol=1e-3))
-        assert self.allocated(run) <= 1 + 1 + 4
+        assert self.allocated(run) <= 1 + 4
 
     def test_short_run_peaks_near_its_trace(self):
         # 509 steps evaluate schedule chunks of 64, 128, 256 and 61 steps, not one of 4096; the

@@ -63,13 +63,26 @@ MUTANTS = [
            "the box selection accepts a violation of 1e-10"),
     Mutant("operators.py", "pairs=50, scale=1.0)", "pairs=1, scale=1.0)",
            "the kernel operator's monotonicity check samples one pair"),
-    Mutant("operators.py", "s = weighted_sum(A(x) * e, w) - weighted_sum(A(y) * e, w)",
-           "s = weighted_sum(A(x) * e, w) + weighted_sum(A(y) * e, w)",
+    Mutant("operators.py", "s = weighted_sum(A(x) * e, weigh) - weighted_sum(A(y) * e, weigh)",
+           "s = weighted_sum(A(x) * e, weigh) + weighted_sum(A(y) * e, weigh)",
            "the monotonicity pairing adds <Ay, x - y> instead of subtracting it"),
     Mutant("schedule.py", "_S2_MIN = 0.1", "_S2_MIN = 0.01",
            "a block sum of alpha^2 below 0.1 counts as bounded away from 0"),
     Mutant("grid.py", "        vals += 1.0\n", "",
            "a probe whose basis combination is all but 0 is scaled up from roundoff"),
+    Mutant("grid.py", '    r = _number("r", r, float)\n', "",
+           "lp_norm takes a str exponent to a TypeError, not the number rule's ValueError"),
+    Mutant("grid.py", "if not (math.isfinite(r) and r >= 1.0):", "if not r >= 1.0:",
+           "lp_norm(f, inf) reads 1.0 for f = 3 + t, whose sup norm is 4, instead of refusing r"),
+    Mutant("solver.py", '        tol = _finite_positive("tol", tol)\n', "",
+           "prefix(nan) returns every row unconverged and prefix(inf) one row marked converged"),
+    # the trapezoid weighting at large M
+    Mutant("grid.py", "        out[0], out[-1] = end * t0, end * tm\n", "",
+           "the end terms keep the weight h, not h/2: TestWeighting and the M = 10^5 golden "
+           "read other bits"),
+    Mutant("grid.py", "    if M < _SCALAR_WEIGHTS_FROM:", "    if M >= _SCALAR_WEIGHTS_FROM:",
+           "small grids weigh by the scalar and large grids by the weight array: the same bits, "
+           "so only TestArrayBudget's bounds, which leave no room for a weight array, kill it"),
 ]
 
 
