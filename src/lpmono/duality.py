@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridFunction, LpContext, _check_grid, _weigher, lp_norm, pairing, weighted_sum
+from .grid import (GridFunction, LpContext, _check_grid, _power, _weigher, lp_norm, pairing,
+                   weighted_sum)
 
 class NoRootError(ValueError):
     """The t_p equation has no root on (0, 1] for the requested exponent."""
@@ -36,15 +37,14 @@ def weighted_duality(r: float, weigh: Callable) -> Callable[[np.ndarray, np.ndar
     norm's terms.  With r = p this is J, with r = q it is J^{-1}.  The sign
     is copied from v in one pass, which equals multiplying by sign v bit for
     bit except at a -0.0 node, which maps to -0.0.  Overflow gives inf or
-    nan values.  Exponent and norm factor are 0-d arrays, as in
-    :func:`~lpmono.grid.weighted_norm`; ``weigh`` is a :func:`~lpmono.grid._weigher`.
+    nan values.  The power is a :func:`~lpmono.grid._power`, the norm factor a
+    0-d array written per call; ``weigh`` is a :func:`~lpmono.grid._weigher`.
     """
-    r1, inv_r, r2, factor = np.array(r - 1.0), 1.0 / r, 2.0 - r, np.empty(())
-    absolute, add_reduce, copysign = np.abs, np.add.reduce, np.copysign
-    multiply, power = np.multiply, np.power
+    pw, inv_r, r2, factor = _power(r - 1.0), 1.0 / r, 2.0 - r, np.empty(())
+    absolute, add_reduce, copysign, multiply = np.abs, np.add.reduce, np.copysign, np.multiply
 
     def dual(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> float:
-        power(absolute(v, scratch), r1, out)
+        pw(absolute(v, scratch), out)
         norm = float(add_reduce(weigh(multiply(out, scratch, scratch), scratch))) ** inv_r
         if norm == 0.0:
             out.fill(0.0)

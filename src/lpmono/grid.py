@@ -11,6 +11,7 @@ of :func:`trapezoid_weights` exists only below ``_SCALAR_WEIGHTS_FROM``
 subintervals, where multiplying by it is fastest, and in
 :func:`~lpmono.operators.hammerstein_kernel_op`, which folds it into its
 kernel matrix; larger grids weigh by the scalar 1/M, to the same bits.
+Only :func:`_power` decides how a nodal power is taken.
 """
 
 from __future__ import annotations
@@ -98,6 +99,21 @@ def _weigher(M: int) -> Callable[[np.ndarray, np.ndarray | None], np.ndarray]:
         return out
 
     return weigh
+
+
+def _power(r: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The power m^r of nodal values m >= 0, made once per solve or operator, as ``pw(m, out)``,
+    written into ``out`` (not m).  At r = 3/2 and 3, p and q at the paper's p = 3/2, it is
+    m*sqrt(m) and (m*m)*m: IEEE 754 rounds sqrt and multiply correctly, so their bits do not
+    follow the float64 power loop that numpy picks from the CPU.  Any other r takes np.power.
+    """
+    multiply, sqrt, power = np.multiply, np.sqrt, np.power
+    if r == 1.5:
+        return lambda m, out: multiply(sqrt(m, out), m, out)
+    if r == 3.0:
+        return lambda m, out: multiply(multiply(m, m, out), m, out)
+    r_ = np.array(r)  # numpy takes a 0-d exponent faster than a float
+    return lambda m, out: power(m, r_, out)
 
 
 class GridFunction:
@@ -232,15 +248,12 @@ def weighted_sum(a: np.ndarray, weigh: Callable, out: np.ndarray | None = None) 
 def weighted_norm(r: float, weigh: Callable) -> Callable[[np.ndarray, np.ndarray], float]:
     """The r-norm weighted by ``weigh``, as ``norm(m, out)``: (weighted sum of m^r)^(1/r) for m = |a|.
 
-    Overflow reads inf.  ``out`` (which may be m) receives the terms.  r is
-    a 0-d array made once: numpy takes one in about half the time it takes
-    to convert a float, and the solver calls ``norm`` every step.
+    Overflow reads inf.  ``out`` (not m) receives m^r, a :func:`_power`, and the terms.
     """
-    r_, inv_r = np.array(r), 1.0 / r
-    add_reduce, power = np.add.reduce, np.power
+    pw, inv_r, add_reduce = _power(r), 1.0 / r, np.add.reduce
 
     def norm(m: np.ndarray, out: np.ndarray) -> float:
-        return float(add_reduce(weigh(power(m, r_, out), out))) ** inv_r
+        return float(add_reduce(weigh(pw(m, out), out))) ** inv_r
 
     return norm
 
@@ -257,7 +270,7 @@ def lp_norm(f: GridFunction, r: float) -> float:
         raise ValueError(f"norm exponent r must be finite and >= 1, got {r}")
     m = np.abs(f.values)
     with np.errstate(over="ignore"):  # inf norms feed the non-finite guards
-        return weighted_norm(r, _weigher(f.M))(m, m)
+        return weighted_norm(r, _weigher(f.M))(m, np.empty_like(m))
 
 
 def pairing(f: GridFunction, g: GridFunction) -> float:

@@ -157,7 +157,7 @@ def norm_subgradient_op(ctx: LpContext, variant: str = "literal") -> MonotoneOp:
 
     def literal(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         _check_grid(M, v.size, "kernel")
-        norm = norm_p(np.abs(v, out), out)
+        norm = norm_p(np.abs(v, out), s)
         return _zeros(v, out) if norm == 0.0 else np.divide(v, norm, out)
 
     def duality(v: np.ndarray, out: np.ndarray) -> np.ndarray:

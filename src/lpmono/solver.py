@@ -268,7 +268,8 @@ def _iterate(
     # four arrays per component: x_n and x_{n+1}, swapped, with read-only views; J x_n; A x_n.
     # The step writes y_{n+1} over A x_n with scratch x_{n-1}, J^{-1} maps it into that buffer
     # as x_{n+1}, and y_{n+1} is J x_{n+1}: the J x and A x buffers swap, and the spent J x_n
-    # is scratch for J^{-1} and the residual until the next operator writes over it
+    # is scratch for J^{-1} and the residual until the next operator writes over it; the
+    # residual's powers go into x_n, spent once x_{n+1} - x_n is formed
     x = [f.values.copy() for f in x1]
     xn, jx, ax = ([np.empty_like(v) for v in x] for _ in range(3))
     xv, xnv = ([np.lib.stride_tricks.as_strided(v, writeable=False) for v in b] for b in (x, xn))
@@ -277,7 +278,9 @@ def _iterate(
     names += ("phi_to_target",) * (target is not None) + ("elapsed",)
     cols = {k: array("d") for k in names}  # one buffer per trace column
     for v, r, jv, s in zip(x, exps, jx, ax):
-        weighted_duality(r, weigh)(v, jv, s)
+        if weighted_duality(r, weigh)(v, jv, s) == 0.0 and v.any():  # J x_1 would read 0
+            raise FloatingPointError(f"J of the nonzero initial point underflowed to 0 (p = "
+                                     f"{ctx.p!r}): its weighted |x_1|^{r!r} is 0 at every node")
     # per component: index, residual column, the residual's norm and J^{-1}
     comps = [(i, cols[k].append, weighted_norm(r, weigh), weighted_duality(rd, weigh))
              for i, r, rd, k in zip(range(len(x)), exps, (ctx.q, ctx.p), names)]
@@ -287,7 +290,7 @@ def _iterate(
     alpha, alpha_theta = np.empty(()), np.empty(())
     tol, guard, clock, t0 = cfg.tol, cfg.divergence_guard, time.perf_counter, time.perf_counter()
     # below p = 1.2 the default gamma overshoots (README): a failure names p and gamma
-    hint = (f" (p = {ctx.p:g}, gamma = {cfg.schedule.gamma:g}); a smaller gamma (--gamma) "
+    hint = (f" (p = {ctx.p!r}, gamma = {cfg.schedule.gamma:g}); a smaller gamma (--gamma) "
             "shortens the step") if ctx.p < 1.2 else ""
     for n, a, th in cfg.schedule.steps(cfg.max_iter):
         alpha[()], alpha_theta[()] = a, a * th
@@ -303,11 +306,11 @@ def _iterate(
             nd = jinv(yi, xni, jxi)
             if nd == 0.0 and yi.any():  # |y|^(r-1) underflowed at every node: x_{n+1} is not 0
                 raise FloatingPointError(
-                    f"J^-1 of a nonzero y_{n + 1} underflowed to 0 at step {n} (p = {ctx.p:g}); "
+                    f"J^-1 of a nonzero y_{n + 1} underflowed to 0 at step {n} (p = {ctx.p!r}); "
                     f"a smaller gamma (--gamma) shortens the step"
                 )
             jx[i], ax[i] = yi, jxi
-            res = norm_r(np.abs(np.subtract(xni, x[i], jxi), jxi), jxi)
+            res = norm_r(np.abs(np.subtract(xni, x[i], jxi), jxi), x[i])
             push(res)
             ns[i], top = nd, max(top, res)
         norm = _norm(ns)

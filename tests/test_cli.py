@@ -425,12 +425,24 @@ class TestMainEntryPoint:
         meta_b = json.loads(capsys.readouterr().out.strip())
         assert meta_a["nfe"] != meta_b["nfe"]
 
-    @pytest.mark.parametrize("p", ["1.0001", "1.001"])
+    @pytest.mark.parametrize("p", ["1.0000000001", "1.0001", "1.001"])
     def test_underflowed_step_exits_1(self, capsys, p):
         # it reported converged: true at NFE 2 with x = 0 and exited 0
         assert main(["zero", "--operator", "mult", "--p", p, "--tol", "1e-6"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and f"at step 1 (p = {p})" in captured.err and "--gamma" in captured.err
+
+    def test_underflowed_start_exits_1(self, capsys):
+        # J of a 1e-320 start is 0: refused naming the initial point, not pointing at --gamma
+        assert main(["zero", "--operator", "mult", "--init", "const:1e-320"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "J of the nonzero initial point underflowed" in captured.err
+        assert "--gamma" not in captured.err
+
+    def test_theta_offset_beyond_float_exits_1(self, capsys):
+        assert main(["zero", "--operator", "mult", "--theta-offset", str(10**400)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "theta_offset must convert to a float" in captured.err
 
     @pytest.mark.parametrize("p", ["1.05", "1.01"])
     def test_failure_below_p_1_2_exits_1(self, capsys, p):

@@ -124,9 +124,10 @@ class TestWeighting:
         out = v.copy()
         assert weigh(out, out) is out and np.array_equal(out, terms)  # in place, ends read first
         assert weighted_sum(v, weigh) == float(np.add.reduce(terms))
-        for r in (1.1, 1.5, 2.0, 3.0):
-            m = np.abs(v)
-            norm = float(np.add.reduce(w * np.power(m, r))) ** (1.0 / r)
+        m = np.abs(v)
+        powers = {1.1: np.power(m, 1.1), 1.5: m * np.sqrt(m), 2.0: np.power(m, 2.0), 3.0: m * m * m}
+        for r, m_r in powers.items():  # grid._power's forms
+            norm = float(np.add.reduce(w * m_r)) ** (1.0 / r)
             assert weighted_norm(r, weigh)(m, np.empty_like(m)) == norm
             out_w, out = np.empty_like(v), np.empty_like(v)
             norm_w = weighted_duality(r, partial(np.multiply, w))(v, out_w, np.empty_like(v))

@@ -178,30 +178,16 @@ EXPORT_RUNS = {
 }
 
 EXPORT_SHA256 = {
-    ("example-1", "csv"): "7b03e2dac9f25f9c5119d768688f5b114523ab7e354216a973ba77358ceabce6",
-    ("example-1", "json"): "a7e218e53b4ce7e5ba68321f22f5f3b5ad739c36800cc3b6c512bf4aa6a95398",
-    ("example-1", "loglog"): "b165f7b0f59dfa872fa89ceb5f139b3d02183895dc5cec1da3aae074d922bae5",
-    ("example-3", "csv"): "374001bf32187035f76149de422d4f75cce7f00a6aca80b7137030f751e68e45",
-    ("example-3", "json"): "34953b48fa29be1da3480c06511350a487b6edf72031048639ac1bd69c7e47ad",
-    ("example-3", "loglog"): "8507694833caf682fe94ad9a5ecc1d642837ce852420da3d092ea4e574c8a402",
-    ("vi", "csv"): "a6add52dc8559ee2918d59393224dab90625b8751fa33acf91f710921e64bcba",
-    ("vi", "json"): "2fb17247edb4de00d806c05e7ab3e6f05c1fdd03d3adb524d176fa995ed15c8e",
-    ("vi", "loglog"): "18b3dd1cdc268575a2f9f18fd1ef2ca02c8cee2aa64dd9938ea9701e17192b2d",
+    ("example-1", "csv"): "f799697ff18f8047d117e3e413bc7ab374602b8d65f3444051e7ef900f796e8c",
+    ("example-1", "json"): "c7ca4952b8f5c1f4966cbe3468c2652ba614e9e9244274e14e72c445f26c596a",
+    ("example-1", "loglog"): "c9e8398f1f1c4a8135b110e5123009b669d14300225544525d8995c572d07fe4",
+    ("example-3", "csv"): "afa6c5c7522416deb6a4c0539800399b336088b8af0fb80afb8ed1edee1938a4",
+    ("example-3", "json"): "3f5cd0208f84119833f8a664b8249a43a69fb7f19b72c7289472e2893da6ea14",
+    ("example-3", "loglog"): "c28810ca78a696ce0e674d2d6d0dc620209f49e10bbc47f84c28cd7071effb75",
+    ("vi", "csv"): "f97581cc8af98b2dbf2c761093bb1b3f7e2019e3d70e495e7fc19ed117b84af8",
+    ("vi", "json"): "4d55bbc792f0c35de3ab4e17b87b6027437eb8c480b3b08e8c2c376e56181850",
+    ("vi", "loglog"): "33f5fd563a180ea9b283b7c8bc1c8ad9474d951eda82c187390f985377677e21",
 }
-
-# the same exports on numpy's libm power loop (conftest.power_loop)
-EXPORT_SHA256_LIBM = {
-    ("example-1", "csv"): "abd6826d9584ece942a286367c479ab9c1708fd7fbbd206de326be210be0c495",
-    ("example-1", "json"): "9428d505e55e32e8ab410bf223aa2cf57c279c55631ba640a7fd5da2bf28cf4e",
-    ("example-1", "loglog"): "cd954c508e29f2bd4d3829ba977c473e0d2373a6a89c8a06bbeac8e8d8f548a7",
-    ("example-3", "csv"): "0d63d93e4375e5b474d9b48234ea74c43f9593cf267c6f15f938f2d8d16db359",
-    ("example-3", "json"): "bbafa7464b3e09cedd4ab56e33ed185aad48c74a1388b76be209bb87a5c7d07c",
-    ("example-3", "loglog"): "5a952540c7b56070db5850a1f85e2708c932dab14873b6c07e599f217c490634",
-    ("vi", "csv"): "f3c85b9c8027eed21774e1df34cc5da53aece01eedb7e73d83faee032333ded7",
-    ("vi", "json"): "bf4f9df641b639a24503435886a53df006f8833dfc84765b9bcb0c739991ac33",
-    ("vi", "loglog"): "f0acb1b279d9782dc5854b9f5404efeb7fe47dd8de2675ff3ce23ba2f2d36aab",
-}
-
 
 def _untimed(fmt, text):
     lines = text.splitlines(keepends=True)
@@ -224,13 +210,12 @@ def export_records():
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "loglog"])
 @pytest.mark.parametrize("name", sorted(EXPORT_RUNS))
-def test_export_bytes(export_records, name, fmt, tmp_path, power_loop):
+def test_export_bytes(export_records, name, fmt, tmp_path):
     path = tmp_path / f"run.{fmt}"
     export = {"csv": export_csv, "json": export_json, "loglog": export_loglog}[fmt]
     export(export_records[name], path)
     text = _untimed(fmt, path.read_text(encoding="utf-8"))
-    pins = EXPORT_SHA256_LIBM if power_loop == "libm" else EXPORT_SHA256
-    assert hashlib.sha256(text.encode()).hexdigest() == pins[name, fmt]
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[name, fmt]
 
 
 def test_record_retains_few_bytes_per_step():

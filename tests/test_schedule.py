@@ -124,7 +124,7 @@ class TestDefaultSchedule:
             default_schedule(1.0, theta_log_base=1.0)
         with pytest.raises(ValueError):
             default_schedule(1.0, theta_log_base=10.0)  # needs n0 > 10^10
-        for offset in (0, -20):  # ln ln of 1 is -inf and of -19 nan; neither may warn
+        for offset in (0, -20):  # theta_1 needs ln 0 and ln -19: libm refuses both, no warning
             with pytest.raises(ValueError, match="theta_1"):
                 default_schedule(1.0, theta_offset=offset)
 
@@ -137,6 +137,12 @@ class TestDefaultSchedule:
     def test_non_finite_log_base_rejected(self, base):
         with pytest.raises(ValueError, match="log base must be finite"):
             default_schedule(1.0, theta_log_base=base)
+
+    def test_theta_offset_must_convert_to_a_float(self):
+        # float(10**400) raised an OverflowError that named no field
+        with pytest.raises(ValueError, match=r"^theta_offset must convert to a float, got an "
+                           r"integer of 1329 bits$"):
+            default_schedule(1.0, theta_offset=10**400)
 
     def test_theta_offset_must_be_an_integer(self):
         with pytest.raises(ValueError, match="theta_offset must be an integer"):
@@ -168,6 +174,10 @@ BROKEN = {
         dict(alpha=constant(0.9), theta=inv_n_plus_1), r"alpha_n <= gamma \* theta_n at n = 1$"),
     "alpha-negative": (dict(alpha=constant(-0.1)), "0 < alpha_n < 1 at n = 1$"),
     "alpha-nan": (dict(alpha=constant(float("nan"))), "0 < alpha_n < 1 at n = 1$"),
+    "alpha-one-short": (
+        dict(alpha=lambda n: np.full(np.size(n) - 1, 0.1)),
+        r"alpha returned float64 of shape \(63,\) for n = 1..64, not a float64 array of shape "
+        r"\(64,\)"),
     "alpha-scalar-only": (
         dict(alpha=lambda n: 0.1),
         r"alpha returned float of shape \(\) for n = 1..64, not a float64 array of shape \(64,\)"),

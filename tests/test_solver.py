@@ -626,28 +626,45 @@ class TestExponentRange:
         assert trace.converged
         assert lp_norm(x, 1.1) <= 0.05
 
-    @pytest.mark.parametrize("p", [1.0001, 1.001])
+    @pytest.mark.parametrize("p", [1.0000000001, 1.0001, 1.001])
     def test_underflowed_inverse_is_refused(self, p):
-        # |y|^(q-1) with q - 1 = 10^4 (or 10^3) is 0 at every node of a nonzero y_2: refused,
-        # not read as x_2 = 0
+        # |y|^(q-1) with q - 1 = 10^10, 10^4 or 10^3 is 0 at every node of a nonzero y_2:
+        # refused, not read as x_2 = 0; p is printed as given (":g" printed 1.0000000001 as 1)
         x1 = GridFunction.from_callable(INV_QUAD, 100)
         cfg = SolveConfig(ctx=LpContext(p=p, M=100), schedule=default_schedule(1.0), tol=1e-6)
         with pytest.raises(FloatingPointError, match=rf"underflowed to 0 at step 1 \(p = {p}\).*gamma"):
             solve_zero(mult_op(), x1, cfg)
 
     # below p = 1.2 the default gamma's steps overshoot; the failure names p, gamma and --gamma
-    @pytest.mark.parametrize("p, error, text", [
-        (1.05, DivergenceError, r"at step 9; check the schedule/operator pairing"),
-        (1.01, NonFiniteIterateError, r"^iterate became non-finite at step 5"),
-    ])
-    def test_failure_below_p_1_2_names_p_and_gamma(self, p, error, text):
-        x1 = GridFunction.from_callable(INV_QUAD, 100)
+    @staticmethod
+    def check_hint(p, x1, error, text):
         cfg = SolveConfig(ctx=LpContext(p=p, M=100), schedule=default_schedule(1.0), tol=1e-6)
         hint = rf" \(p = {p}, gamma = 1\); a smaller gamma \(--gamma\) shortens the step$"
         with pytest.raises(error, match=text + hint):
             solve_zero(mult_op(), x1, cfg)
 
-    # the same NFE on numpy's AVX-512 and libm power loops
+    @pytest.mark.parametrize("p, error, text", [
+        (1.05, DivergenceError, r"at step 9; check the schedule/operator pairing"),
+        (1.01, NonFiniteIterateError, r"^iterate became non-finite at step 5"),
+    ])
+    def test_failure_below_p_1_2_names_p_and_gamma(self, p, error, text):
+        self.check_hint(p, GridFunction.from_callable(INV_QUAD, 100), error, text)
+
+    def test_failure_hint_prints_p_as_given(self):
+        # from x_1 = 4, |y_2| > 1 at some nodes and |y|^(q-1), q - 1 = 10^10, overflows there;
+        # ":g" printed p = 1.0000000001 as 1
+        self.check_hint(1.0000000001, GridFunction.full(100, 4.0), NonFiniteIterateError,
+                        r"^iterate became non-finite at step 1")
+
+    def test_underflowed_start_is_refused(self):
+        # J x_1 is 0 at every node of x_1 = 1e-320: the start is refused by name, where the
+        # first step's refusal pointed at --gamma, which cannot help
+        with pytest.raises(FloatingPointError, match=r"^J of the nonzero initial point "
+                           r"underflowed to 0 \(p = 1\.5\): its weighted \|x_1\|\^1\.5 is 0"):
+            execute(RunConfig("zero", "mult", init="const:1e-320"))
+
+    # at these p every power is np.power's, whose bits follow numpy's CPU dispatch; the NFE
+    # is the same on its AVX-512 and libm loops
     @pytest.mark.parametrize("p, gamma, nfe", [(1.05, 0.1, 218), (1.01, 0.01, 1559)])
     def test_smaller_gamma_carries_the_step(self, p, gamma, nfe):
         rec = execute(RunConfig("zero", "mult", p=p, gamma=gamma, tol=1e-6))
@@ -766,21 +783,23 @@ class TestEdgeBranches:
     """The first steps of the engine equal the recursion written out with the
     public maps in the dual form, bit for bit, on starts that reach the
     zero-norm branches; where J^{-1} of a nonzero dual vector underflows to
-    norm 0, both refuse the step."""
+    norm 0, both refuse the step, and where J of a nonzero start does, the start."""
 
     @staticmethod
     def transcribe(A, x1, ctx, cfg):
         """Per step: the residuals, ||x_{n+1}||, phi(target, x_{n+1}) (None without a
-        target) and x_{n+1}, and the step refused (None if none).  The dual vector
-        y_{n+1} is carried as J x_{n+1}, and its norm, ||y_{n+1}||, is ||x_{n+1}||;
-        a nonzero y_{n+1} of norm 0 has underflowed, and its step is refused."""
+        target) and x_{n+1}, and the step refused (0 for the start, None if none).  The
+        dual vector y_{n+1} is carried as J x_{n+1}, and its norm, ||y_{n+1}||, is
+        ||x_{n+1}||; a nonzero y_{n+1} of norm 0 has underflowed, and its step is refused."""
         exps = (ctx.p, ctx.q)[: len(x1)]
         norm_of = lambda ns: ns[0] if len(ns) == 1 else float(np.hypot(*ns))
         if cfg.target is not None:
             t = (cfg.target.u, cfg.target.v) if len(x1) == 2 else (cfg.target,)
             nt = norm_of([lp_norm(f, r) for f, r in zip(t, exps)])
         x = [f.values for f in x1]
-        jx = [duality_values(v, r)[0] for v, r in zip(x, exps)]
+        jx, nx = zip(*(duality_values(v, r) for v, r in zip(x, exps)))
+        if any(nv == 0.0 and v.any() for v, nv in zip(x, nx)):
+            return [], 0
         steps = []
         for n, a, th in cfg.schedule.steps(cfg.max_iter):
             ax = A(x)
@@ -813,7 +832,8 @@ class TestEdgeBranches:
     def check(self, solve, held, expected):
         expected, refused = expected
         if refused is not None:
-            with pytest.raises(FloatingPointError, match=rf"underflowed to 0 at step {refused} \(p = 1.5\)"):
+            where = "" if refused == 0 else f" at step {refused}"
+            with pytest.raises(FloatingPointError, match=rf"underflowed to 0{where} \(p = 1.5\)"):
                 solve()
             assert len(held) == len(expected)
             return

@@ -83,6 +83,36 @@ MUTANTS = [
     Mutant("grid.py", "    if M < _SCALAR_WEIGHTS_FROM:", "    if M >= _SCALAR_WEIGHTS_FROM:",
            "small grids weigh by the scalar and large grids by the weight array: the same bits, "
            "so only TestArrayBudget's bounds, which leave no room for a weight array, kill it"),
+    # the nodal powers and theta's log, whose bits must not follow numpy's CPU dispatch
+    Mutant("grid.py", "    if r == 1.5:\n", "    if False:\n",
+           "m^(3/2) goes back to np.power, which rounds otherwise than m*sqrt(m)"),
+    Mutant("grid.py", "    if r == 3.0:\n", "    if False:\n",
+           "m^3 goes back to np.power, which rounds otherwise than (m*m)*m"),
+    Mutant("schedule.py", "        return np.fromiter(map(log, memoryview(a)), float, a.size)\n",
+           '        with np.errstate(divide="ignore", invalid="ignore"):\n'
+           "            return np.log(a)\n",
+           "theta_n goes back to numpy's log, whose AVX-512 loop rounds otherwise than libm's",
+           equivalent="numpy's float64 log equals libm's where numpy runs without its AVX-512 "
+           "loops (a CPU without them, or NPY_DISABLE_CPU_FEATURES); with them, example 3's "
+           "golden kills it"),
+    # the rules ParamSchedule.steps checks on every chunk
+    Mutant("schedule.py", "    if got != (np.float64, (stop - start,)):",
+           "    if got[0] != np.float64:",
+           "a rule that returns a chunk one step short cuts the run short without a word"),
+    Mutant("schedule.py", "(values > 0.0) & (values < 1.0)", "(values > 0.0)",
+           "a schedule with alpha_n = 2 runs"),
+    Mutant("schedule.py", "alpha <= self.gamma * theta", "alpha <= self.gamma",
+           "alpha_n above gamma theta_n runs"),
+    Mutant("schedule.py", "np.append(prev, theta[:-1])", "np.append(theta[0], theta[:-1])",
+           "a theta that rises at a chunk's first step runs"),
+    # hostile inputs that reached the wrong error
+    Mutant("schedule.py", "    except OverflowError:\n", "    except ZeroDivisionError:\n",
+           "theta_offset = 10**400 raises an OverflowError that names no field"),
+    Mutant("solver.py", "if weighted_duality(r, weigh)(v, jv, s) == 0.0 and v.any():",
+           "if False:", "a start whose J underflows gets the step's refusal and its --gamma hint"),
+    Mutant("solver.py", "underflowed to 0 at step {n} (p = {ctx.p!r})",
+           "underflowed to 0 at step {n} (p = {ctx.p:g})",
+           "the underflow refusal prints p = 1.0000000001 as 1"),
 ]
 
 
