@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
@@ -101,6 +102,23 @@ def _from_flag(flag: str, load, *args, **kwargs):
         return load(*args, **kwargs)
     except (OSError, ValueError) as exc:
         raise ValueError(f"{flag}: {exc}") from None
+
+
+def _refuse_oversized_grid(M: int, components: int) -> None:
+    """Refuse, naming ``--grid``, an M-subinterval grid whose solve cannot fit in physical memory.
+
+    A solve holds four node arrays per start component and ``mult_op``'s ``1 + t``; where
+    the operating system reports no physical memory size, nothing is checked.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        return
+    arrays = 4 * components + 1
+    need = arrays * 8 * (M + 1)
+    if 0 < memory < need:
+        raise ValueError(f"--grid {M}: a solve holds {arrays} arrays of {M + 1} floats, "
+                         f"{need / 1e9:.3g} GB, beyond the {memory / 1e9:.3g} GB of physical memory")
 
 
 # the solver-specific fields, and the solver that reads each; others keep its default
@@ -203,8 +221,11 @@ def execute(config: RunConfig | Mapping) -> RunRecord:
         config = _from_record(config)
     solver, operator = config.solver, config.operator
     ctx = LpContext(p=config.p, M=config.grid)
+    _refuse_oversized_grid(ctx.M, 2 if solver == "hammerstein" else 1)
     sched = default_schedule(config.gamma, config.theta_offset, config.theta_base)
-    x1 = _from_flag("--init", resolve_init, config.init, ctx.M)
+    # each start is built inside its solver call and bound to no name here, so the solver's
+    # copy is the only one the run holds (a call moves its arguments into the callee's frame)
+    start = functools.partial(_from_flag, "--init", resolve_init, config.init, ctx.M)
 
     target = None
     if config.target == "zero":
@@ -216,15 +237,15 @@ def execute(config: RunConfig | Mapping) -> RunRecord:
 
     # zero, hilbert and min are the core recursion with their own A
     if solver == "min":
-        _, trace = solve_zero(norm_subgradient_op(ctx, config.subgrad_variant), x1, cfg)
+        _, trace = solve_zero(norm_subgradient_op(ctx, config.subgrad_variant), start(), cfg)
     elif solver in ("zero", "hilbert"):
-        _, trace = solve_zero(_CATALOG[operator](), x1, cfg)
+        _, trace = solve_zero(_CATALOG[operator](), start(), cfg)
     elif solver == "vi":
         A = _CATALOG[operator]()
-        _, trace = solve_vi(A, config.box, x1, cfg, magnitude=config.vi_magnitude)
+        _, trace = solve_vi(A, config.box, start(), cfg, magnitude=config.vi_magnitude)
     elif solver == "jfixed":
         base = _CATALOG[operator.removesuffix("-as-T")]()
-        _, trace = solve_jfixed(j_pseudo_from_monotone(base, ctx), x1, cfg)
+        _, trace = solve_jfixed(j_pseudo_from_monotone(base, ctx), start(), cfg)
     else:  # hammerstein
         if operator == "example":
             pair = hammerstein_example()
@@ -236,8 +257,8 @@ def execute(config: RunConfig | Mapping) -> RunRecord:
                     f"kernel file is {kernel.shape[0] - 1}+1 nodes but --grid is {ctx.M}"
                 )
             pair = HammersteinPair(F=mult_op(), K=hammerstein_kernel_op(kernel))
-        v1 = _from_flag("--init-dual", resolve_init, config.init_dual, ctx.M)
-        _, _, trace = solve_hammerstein(pair, x1, v1, cfg)
+        _, _, trace = solve_hammerstein(
+            pair, start(), _from_flag("--init-dual", resolve_init, config.init_dual, ctx.M), cfg)
 
     stored = {**asdict(config), "divergence_guard": cfg.divergence_guard,
               "schedule": dict(sched.meta)}  # formulas + n0/base/gamma, for audits

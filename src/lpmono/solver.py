@@ -225,19 +225,44 @@ def _array_ops(M: int, *ops) -> list:
     return calls
 
 
+def _own(M: int, *starts: GridFunction) -> list[np.ndarray]:
+    """Copies of the start components' nodal values for the engine to own, each refused
+    unless it lies on the M-subinterval grid.
+
+    A solver passes its start arguments here and then deletes them, so that unless its caller
+    keeps a start, the engine's copy is the only one the solve holds: from CPython 3.11 on, a
+    call moves its arguments into the callee's frame and keeps no reference of its own.
+    """
+    for f in starts:
+        _check_grid(M, f.values.size, "context", "initial point")
+    return [f.values.copy() for f in starts]
+
+
+def _underflow_remedy(x: np.ndarray, i: int, ctx: LpContext, weigh: Callable, n: int) -> str:
+    """What can keep J^{-1} of a nonzero y_{n+1} from underflowing at step n, from component i
+    of x_n, ``x`` (read, not written): a shorter step, which keeps y_{n+1} near J x_n, unless
+    J^{-1}(J x_n) underflows as well, where no step is short enough.  Error path only."""
+    jx, s = np.empty_like(x), np.empty_like(x)
+    weighted_duality((ctx.p, ctx.q)[i], weigh)(x, jx, s)
+    if weighted_duality((ctx.q, ctx.p)[i], weigh)(jx, s, np.empty_like(x)) > 0.0:
+        return "a smaller gamma (--gamma) shortens the step"
+    return (f"p is too close to 1 (q - 1 = {ctx.q - 1.0:g}): J^-1 of J x_{n} underflows as well, "
+            "so no gamma helps")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # once per solve; the norm check reports overflow
 def _iterate(
     op: Callable,
-    x1: tuple[GridFunction, ...],
+    x: list[np.ndarray],
     cfg: SolveConfig,
     callback: Callable | None,
     step: Callable = _core_step,
 ) -> tuple:
     """The per-step loop behind every solver: stepping, stopping, tracing, guards.
 
-    ``x1`` holds the starting point's components: one in L_p, two on
-    X x X*, where component i has norm exponent (p, q)[i] and J^{-1} maps
-    it by the (q, p)[i]-duality map.  ``op(x, out)`` returns A x_n from
+    ``x`` holds the starting point's components as arrays the loop owns (see :func:`_own`)
+    and writes over: one in L_p, two on X x X*, where component i has norm exponent
+    (p, q)[i] and J^{-1} maps it by the (q, p)[i]-duality map.  ``op(x, out)`` returns A x_n from
     read-only views ``x`` of the component arrays, one per component, into
     the buffers ``out`` or arrays of its own; ``step`` forms one dual-space
     component but its Tikhonov term alpha_n theta_n J x_n, which the loop
@@ -251,26 +276,23 @@ def _iterate(
     exact in exact arithmetic, so J is evaluated once per solve.
     """
     ctx = cfg.ctx
-    for f in x1:
-        _check_grid(ctx.M, f.values.size, "context", "initial point")
-    exps = (ctx.p, ctx.q)[: len(x1)]
+    exps = (ctx.p, ctx.q)[: len(x)]
     target = cfg.target
     if target is not None:
         t = (target.u, target.v) if isinstance(target, ProductPoint) else (target,)
-        if len(t) != len(x1):
-            raise TypeError(f"a {len(x1)}-component solve received a {len(t)}-component target")
+        if len(t) != len(x):
+            raise TypeError(f"a {len(x)}-component solve received a {len(t)}-component target")
         for f in t:
             _check_grid(ctx.M, f.values.size, "context", "target")
         # a zero component pairs to exactly +/-0 and adds norm 0.0 to hypot: skip it
         t = [(i, f, r) for i, (f, r) in enumerate(zip(t, exps)) if f.values.any()]
         nt = _norm([lp_norm(f, r) for _, f, r in t] or [0.0])
     weigh = _weigher(ctx.M)  # no weight array at large M
-    # four arrays per component: x_n and x_{n+1}, swapped, with read-only views; J x_n; A x_n.
-    # The step writes y_{n+1} over A x_n with scratch x_{n-1}, J^{-1} maps it into that buffer
-    # as x_{n+1}, and y_{n+1} is J x_{n+1}: the J x and A x buffers swap, and the spent J x_n
-    # is scratch for J^{-1} and the residual until the next operator writes over it; the
-    # residual's powers go into x_n, spent once x_{n+1} - x_n is formed
-    x = [f.values.copy() for f in x1]
+    # four arrays per component: x_n (the start's buffer) and x_{n+1}, swapped, with read-only
+    # views; J x_n; A x_n.  The step writes y_{n+1} over A x_n with scratch x_{n-1}, J^{-1} maps
+    # it into that buffer as x_{n+1}, and y_{n+1} is J x_{n+1}: the J x and A x buffers swap, and
+    # the spent J x_n is scratch for J^{-1} and the residual until the next operator writes over
+    # it; the residual's powers go into x_n, spent once x_{n+1} - x_n is formed
     xn, jx, ax = ([np.empty_like(v) for v in x] for _ in range(3))
     xv, xnv = ([np.lib.stride_tricks.as_strided(v, writeable=False) for v in b] for b in (x, xn))
     ns = [0.0] * len(x)
@@ -307,7 +329,7 @@ def _iterate(
             if nd == 0.0 and yi.any():  # |y|^(r-1) underflowed at every node: x_{n+1} is not 0
                 raise FloatingPointError(
                     f"J^-1 of a nonzero y_{n + 1} underflowed to 0 at step {n} (p = {ctx.p!r}); "
-                    f"a smaller gamma (--gamma) shortens the step"
+                    + _underflow_remedy(x[i], i, ctx, weigh, n)
                 )
             jx[i], ax[i] = yi, jxi
             res = norm_r(np.abs(np.subtract(xni, x[i], jxi), jxi), x[i])
@@ -359,7 +381,8 @@ def solve_zero(
     A : callable
         The operator; one application per step (this is the NFE count).
     x1 : GridFunction
-        Starting point on cfg's grid.
+        Starting point on cfg's grid; the solve copies it and keeps no
+        reference to it.
     cfg : SolveConfig
     callback : callable, optional
         Invoked as callback(n, x_n) after each new iterate.
@@ -369,8 +392,9 @@ def solve_zero(
     (GridFunction, IterationTrace)
         Final iterate and the full per-step trace.
     """
-    A = _array_ops(cfg.ctx.M, A)
-    x, trace = _iterate(lambda x, out: (A[0](x[0], out[0]),), (x1,), cfg, callback)
+    A, x = _array_ops(cfg.ctx.M, A), _own(cfg.ctx.M, x1)
+    del x1
+    x, trace = _iterate(lambda x, out: (A[0](x[0], out[0]),), x, cfg, callback)
     return GridFunction._frozen(x), trace
 
 
@@ -417,7 +441,9 @@ def solve_vi(
         feas.append(select(x[0], beta))
         return (np.add(T[0](x[0], out[0]), beta, out[0]),)
 
-    x, trace = _iterate(op, (x1,), cfg, callback)
+    x = _own(cfg.ctx.M, x1)
+    del x1
+    x, trace = _iterate(op, x, cfg, callback)
     columns = {**trace.columns, "feasibility_violation": np.array(feas)}
     return GridFunction._frozen(x), replace(trace, columns=columns)
 
@@ -436,8 +462,9 @@ def solve_jfixed(
     solve_zero(J - T) is a test oracle, so the arithmetic here keeps the
     (1 - alpha) grouping instead of delegating.
     """
-    T = _array_ops(cfg.ctx.M, T)
-    x, trace = _iterate(lambda x, out: (T[0](x[0], out[0]),), (x1,), cfg, callback, step=_jfixed_step)
+    T, x = _array_ops(cfg.ctx.M, T), _own(cfg.ctx.M, x1)
+    del x1
+    x, trace = _iterate(lambda x, out: (T[0](x[0], out[0]),), x, cfg, callback, step=_jfixed_step)
     return GridFunction._frozen(x), trace
 
 
@@ -465,7 +492,9 @@ def solve_hammerstein(
         u, v = x
         return np.subtract(FK[0](u, out[0]), v, out[0]), np.add(FK[1](v, out[1]), u, out[1])
 
-    u, v, trace = _iterate(op, (u1, v1), cfg, callback)
+    x = _own(cfg.ctx.M, u1, v1)
+    del u1, v1
+    u, v, trace = _iterate(op, x, cfg, callback)
     return GridFunction._frozen(u), GridFunction._frozen(v), trace
 
 

@@ -427,10 +427,15 @@ class TestMainEntryPoint:
 
     @pytest.mark.parametrize("p", ["1.0000000001", "1.0001", "1.001"])
     def test_underflowed_step_exits_1(self, capsys, p):
-        # it reported converged: true at NFE 2 with x = 0 and exited 0
+        # it reported converged: true at NFE 2 with x = 0 and exited 0; the hint points at
+        # --gamma only where J^-1 of J x_1 does not underflow as well
         assert main(["zero", "--operator", "mult", "--p", p, "--tol", "1e-6"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and f"at step 1 (p = {p})" in captured.err and "--gamma" in captured.err
+        remedy = {"1.0000000001": "p is too close to 1 (q - 1 = 1e+10)",
+                  "1.0001": "p is too close to 1 (q - 1 = 10000)",
+                  "1.001": "a smaller gamma (--gamma) shortens the step"}[p]
+        assert captured.out == "" and f"at step 1 (p = {p}); {remedy}" in captured.err
+        assert ("--gamma" in captured.err) == (p == "1.001")
 
     def test_underflowed_start_exits_1(self, capsys):
         # J of a 1e-320 start is 0: refused naming the initial point, not pointing at --gamma
@@ -443,6 +448,19 @@ class TestMainEntryPoint:
         assert main(["zero", "--operator", "mult", "--theta-offset", str(10**400)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "theta_offset must convert to a float" in captured.err
+
+    # 10^12 nodes: the first array alone exceeds any machine's memory, so a missing refusal
+    # fails at once with numpy's MemoryError and nothing is paged in
+    @pytest.mark.skipif("SC_PHYS_PAGES" not in getattr(os, "sysconf_names", {}),
+                        reason="no physical memory size to check against")
+    @pytest.mark.parametrize("solver, arrays", [("zero", 5), ("hammerstein", 9)])
+    def test_grid_beyond_memory_exits_1(self, capsys, solver, arrays):
+        operator = "example" if solver == "hammerstein" else "mult"
+        assert main([solver, "--operator", operator, "--grid", str(10**12)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(
+            f"lpmono: error: --grid {10**12}: a solve holds {arrays} arrays of {10**12 + 1} floats")
+        assert captured.err.endswith("GB of physical memory\n")
 
     @pytest.mark.parametrize("p", ["1.05", "1.01"])
     def test_failure_below_p_1_2_exits_1(self, capsys, p):

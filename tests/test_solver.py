@@ -626,14 +626,33 @@ class TestExponentRange:
         assert trace.converged
         assert lp_norm(x, 1.1) <= 0.05
 
+    # the refusal's remedy at each p: where J^-1 of J x_1 underflows as well, no gamma helps
+    REMEDY = {
+        1.0000000001: r"p is too close to 1 \(q - 1 = 1e\+10\): J\^-1 of J x_1 underflows as well, "
+                      r"so no gamma helps$",
+        1.0001: r"p is too close to 1 \(q - 1 = 10000\): J\^-1 of J x_1 underflows as well, "
+                r"so no gamma helps$",
+        1.001: r"a smaller gamma \(--gamma\) shortens the step$",
+    }
+
     @pytest.mark.parametrize("p", [1.0000000001, 1.0001, 1.001])
     def test_underflowed_inverse_is_refused(self, p):
         # |y|^(q-1) with q - 1 = 10^10, 10^4 or 10^3 is 0 at every node of a nonzero y_2:
         # refused, not read as x_2 = 0; p is printed as given (":g" printed 1.0000000001 as 1)
         x1 = GridFunction.from_callable(INV_QUAD, 100)
         cfg = SolveConfig(ctx=LpContext(p=p, M=100), schedule=default_schedule(1.0), tol=1e-6)
-        with pytest.raises(FloatingPointError, match=rf"underflowed to 0 at step 1 \(p = {p}\).*gamma"):
+        with pytest.raises(FloatingPointError,
+                           match=rf"underflowed to 0 at step 1 \(p = {p}\); {self.REMEDY[p]}"):
             solve_zero(mult_op(), x1, cfg)
+
+    @pytest.mark.parametrize("gamma", [1e-3, 1e-6, 1e-9])
+    def test_underflow_no_gamma_helps_names_p(self, gamma):
+        # at q - 1 = 10^10, |y|^(q-1) of J x_1 itself underflows: every gamma is refused at
+        # step 1, and the refusal does not point at --gamma
+        with pytest.raises(FloatingPointError, match=r"at step 1 \(p = 1\.0000000001\); "
+                           + self.REMEDY[1.0000000001]) as info:
+            execute(RunConfig("zero", "mult", p=1.0000000001, gamma=gamma))
+        assert "--gamma" not in str(info.value)
 
     # below p = 1.2 the default gamma's steps overshoot; the failure names p, gamma and --gamma
     @staticmethod
@@ -965,9 +984,11 @@ def peak_bytes(run) -> tuple[int, object]:
 
 class TestArrayBudget:
     """At M = 10^5 a solve allocates four arrays per component beyond its caller's
-    arrays: x_n, x_{n+1}, J x_n and A x_n, which double as scratch; it weighs
-    by the scalar 1/M, with no weight array.  The returned iterate is the final
-    x_n buffer, frozen in place."""
+    arrays: x_n, which starts as the engine's copy of the start, x_{n+1}, J x_n and
+    A x_n, which double as scratch; it weighs by the scalar 1/M, with no weight
+    array.  The returned iterate is the final x_n buffer, frozen in place.  Through
+    ``execute`` the start is built inside the solver call and dropped once the
+    engine has copied it, so a run holds those four per component and no more."""
 
     M = 10**5
     SMALL = 50_000  # bytes: the schedule's 64-step chunk, the trace and Python objects
@@ -990,10 +1011,14 @@ class TestArrayBudget:
         assert self.allocated(solve) <= 2 * 4
 
     def test_cli(self):
-        # execute builds the start besides the four arrays; its zero target is a zero-stride view and
-        # the returned iterate, which it drops, is not copied
+        # execute keeps no start beside the engine's copy; its zero target is a zero-stride view
+        # and the returned iterate, which it drops, is not copied
         run = lambda: execute(example_config(1, grid=self.M, tol=1e-3))
-        assert self.allocated(run) <= 1 + 4
+        assert self.allocated(run) <= 4
+
+    def test_cli_product_space(self):
+        run = lambda: execute(example_config(3, grid=self.M, tol=1e-3))
+        assert self.allocated(run) <= 2 * 4
 
     def test_short_run_peaks_near_its_trace(self):
         # 509 steps evaluate schedule chunks of 64, 128, 256 and 61 steps, not one of 4096; the

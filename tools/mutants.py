@@ -113,6 +113,14 @@ MUTANTS = [
     Mutant("solver.py", "underflowed to 0 at step {n} (p = {ctx.p!r})",
            "underflowed to 0 at step {n} (p = {ctx.p:g})",
            "the underflow refusal prints p = 1.0000000001 as 1"),
+    Mutant("solver.py", "(jx, s, np.empty_like(x)) > 0.0:", "(jx, s, np.empty_like(x)) >= 0.0:",
+           "at p = 1.0000000001 the underflow refusal points at --gamma, which cannot help"),
+    Mutant("cli.py", "    if 0 < memory < need:\n", "    if False:\n",
+           "--grid 10**12 reaches numpy's MemoryError instead of a refusal naming --grid"),
+    # the start hand-off: the engine's copy is the only start an execute run holds
+    Mutant("solver.py", "    del x1\n    x, trace = _iterate(lambda x, out: (A[0]",
+           "    x, trace = _iterate(lambda x, out: (A[0]",
+           "solve_zero keeps its start alive beside the engine's copy, a fifth node array"),
 ]
 
 
